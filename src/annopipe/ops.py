@@ -6,7 +6,10 @@ this module populates the default registry.
 
 from __future__ import annotations
 
-from .core import full_text_segment
+import dataclasses
+
+from .core import full_text_segment, new_id
+from .exceptions import ScopeError
 from .io.brat import emit_brat
 from .pipeline import OperationRegistry, default_registry
 from .textops import (
@@ -18,8 +21,9 @@ from .textops import (
     detect_context,
     load_dictionary,
     match_dates,
-    match_dictionary,
+    match_prepared,
     match_regex,
+    prepare_dictionary,
     split_sentences,
 )
 
@@ -55,9 +59,10 @@ def _parse_dictionary_params(params) -> list[DictionaryEntry]:
 
 
 def _match_dictionary_factory(params):
-    entries = _parse_dictionary_params(params)
-    strip_accents = params.get("strip_accents", False)
-    return lambda seg: match_dictionary(seg, entries, strip_accents)
+    prepared = prepare_dictionary(
+        _parse_dictionary_params(params), params.get("strip_accents", False)
+    )
+    return lambda seg: match_prepared(seg, prepared)
 
 
 def _match_regex_factory(params):
@@ -87,28 +92,27 @@ def _detect_context_factory(params):
     )
 
     def run(sentences, entities):
-        # Attach the context attribute to each entity within its sentence.
-        by_id = {e.id: e for e in entities}
+        # New entities carrying the context attribute found in their sentence;
+        # the inputs stay untouched, so provenance can derive one from the other.
+        added = {e.id: [] for e in entities}
         for sentence in sentences:
-            in_scope = []
             for entity in entities:
                 try:
                     pairs = detect_context(sentence, [entity], rules)
-                except Exception:
+                except ScopeError:
                     continue
-                in_scope.extend(pairs)
-            for entity_id, attribute in in_scope:
-                by_id[entity_id].attributes.append(attribute)
-        return entities
-
-    return run
-
-
-def _attach_factory(params):
-    def run(doc, annotations):
-        for ann in annotations:
-            doc.attach(ann)
-        return doc
+                for entity_id, attribute in pairs:
+                    added[entity_id].append(attribute)
+        return [
+            dataclasses.replace(
+                e,
+                id=new_id(),
+                attributes=e.attributes + added[e.id],
+                metadata=dict(e.metadata),
+                spans=list(e.spans),
+            )
+            for e in entities
+        ]
 
     return run
 
@@ -125,7 +129,6 @@ def register_builtin_operations(registry: OperationRegistry) -> None:
     registry.register("match_regex", _match_regex_factory, 1, 1, "item")
     registry.register("match_dates", _match_dates_factory, 1, 1, "item")
     registry.register("detect_context", _detect_context_factory, 2, 1, "batch")
-    registry.register("attach_annotations", _attach_factory, 2, 1, "batch")
     registry.register("emit_brat", _emit_brat_factory, 2, 1, "batch")
 
 

@@ -83,8 +83,9 @@ class Tracer:
     ) -> None:
         if not outputs:
             raise ValueError("record requires at least one output")
+        source_set = set(sources)
         for out in outputs:
-            if out in sources:
+            if out in source_set:
                 raise SelfDerivationError(f"{out} listed as both source and output")
         if self.level == VerbosityLevel.NONE:
             return

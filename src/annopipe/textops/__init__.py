@@ -7,7 +7,15 @@ from .context import (
 )
 from .dates import match_dates
 from .deid import DeidRule, deidentify
-from .dictionary import DictionaryEntry, fold_text, load_dictionary, match_dictionary
+from .dictionary import (
+    DictionaryEntry,
+    PreparedDictionary,
+    fold_text,
+    load_dictionary,
+    match_dictionary,
+    match_prepared,
+    prepare_dictionary,
+)
 from .regexp import RegexRule, match_regex
 from .sentences import split_sentences
 
@@ -19,6 +27,9 @@ __all__ = [
     "fold_text",
     "load_dictionary",
     "match_dictionary",
+    "PreparedDictionary",
+    "prepare_dictionary",
+    "match_prepared",
     "RegexRule",
     "match_regex",
     "match_dates",

@@ -7,7 +7,7 @@ import io
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ..core import Attribute, Entity, Segment
 from ..spans import extract
@@ -41,6 +41,46 @@ def load_dictionary(path) -> list[DictionaryEntry]:
     return entries
 
 
+def _fold_char(ch: str, strip_accents: bool, lower: bool) -> str:
+    """The folding rule for one character: NFD without combining marks, then
+    lowercase only when that keeps the length."""
+    out = ch
+    if strip_accents:
+        out = "".join(
+            c for c in unicodedata.normalize("NFD", ch) if not unicodedata.combining(c)
+        )
+    if lower:
+        low = out.lower()
+        if len(low) == len(out):
+            out = low
+    return out
+
+
+class _FoldTable(dict):
+    """``str.translate`` table of one folding mode, filled on first sight of a
+    code point. A character that does not fold to exactly one character maps
+    to "", so a translated text shorter than its input contains one.
+
+    The tables only memoize a pure function, so the module shares one per mode.
+    """
+
+    def __init__(self, strip_accents: bool, lower: bool):
+        super().__init__()
+        self.mode = (strip_accents, lower)
+
+    def __missing__(self, code: int) -> str:
+        out = _fold_char(chr(code), *self.mode)
+        value = self[code] = out if len(out) == 1 else ""
+        return value
+
+
+_FOLD_TABLES = {
+    (strip_accents, lower): _FoldTable(strip_accents, lower)
+    for strip_accents in (False, True)
+    for lower in (False, True)
+}
+
+
 def fold_text(text: str, strip_accents: bool, lower: bool) -> tuple[str, list[int]]:
     """Accent/case folding with a map from folded positions to original indices.
 
@@ -48,63 +88,65 @@ def fold_text(text: str, strip_accents: bool, lower: bool) -> tuple[str, list[in
     marks fold to nothing, characters whose lowercase form changes length are
     kept as-is.
     """
-    folded = []
+    table = _FOLD_TABLES[bool(strip_accents), bool(lower)]
+    folded = text.translate(table)
+    if len(folded) == len(text):
+        return folded, list(range(len(text)))
+    parts = []
     index_map = []
     for i, ch in enumerate(text):
-        out = ch
-        if strip_accents:
-            out = "".join(
-                c
-                for c in unicodedata.normalize("NFD", ch)
-                if not unicodedata.combining(c)
-            )
-        if lower:
-            low = out.lower()
-            if len(low) == len(out):
-                out = low
-        folded.append(out)
+        out = table[ord(ch)] or _fold_char(ch, strip_accents, lower)
+        parts.append(out)
         index_map.extend([i] * len(out))
-    return "".join(folded), index_map
+    return "".join(parts), index_map
 
 
-def _fold_term(term: str, strip_accents: bool, lower: bool) -> str:
-    return fold_text(term, strip_accents, lower)[0]
+class PreparedDictionary(NamedTuple):
+    """Dictionary entries with their terms folded once for matching."""
+
+    strip_accents: bool
+    # (folded term, lower, entry) in entry order; terms folding to "" dropped.
+    needles: tuple[tuple[str, bool, DictionaryEntry], ...]
+    # The case modes (lower flags) the needles use: the folds a segment needs.
+    modes: frozenset[bool]
 
 
-def _is_word_char(ch: str) -> bool:
-    return ch.isalnum()
-
-
-def match_dictionary(
-    seg: Segment, entries: list[DictionaryEntry], strip_accents: bool = False
-) -> list[Entity]:
-    """Entities for dictionary terms found on word boundaries.
-
-    Overlapping candidates are resolved leftmost-longest. Matching is
-    case-insensitive unless the entry is case-sensitive; accents are folded
-    when strip_accents. A norm_id entry value becomes a "norm_id" attribute.
-    """
-    exact_text, exact_map = fold_text(seg.text, strip_accents, lower=False)
-    lower_text, lower_map = fold_text(seg.text, strip_accents, lower=True)
-
-    candidates = []
+def prepare_dictionary(
+    entries: list[DictionaryEntry], strip_accents: bool = False
+) -> PreparedDictionary:
+    """Fold every term once, in the case mode its entry matches in."""
+    needles = []
     for entry in entries:
-        if entry.case_sensitive:
-            haystack, index_map = exact_text, exact_map
-        else:
-            haystack, index_map = lower_text, lower_map
-        needle = _fold_term(entry.term, strip_accents, lower=not entry.case_sensitive)
-        if not needle:
-            continue
+        lower = not entry.case_sensitive
+        needle = fold_text(entry.term, strip_accents, lower)[0]
+        if needle:
+            needles.append((needle, lower, entry))
+    return PreparedDictionary(
+        strip_accents, tuple(needles), frozenset(lower for _, lower, _ in needles)
+    )
+
+
+def match_prepared(seg: Segment, prepared: PreparedDictionary) -> list[Entity]:
+    """Entities for the prepared terms found on word boundaries of seg.
+
+    The segment is folded once per case mode the terms use. Overlapping
+    candidates are resolved leftmost-longest; on equal spans the earlier
+    entry wins.
+    """
+    folds = {
+        lower: fold_text(seg.text, prepared.strip_accents, lower)
+        for lower in prepared.modes
+    }
+    candidates = []
+    for needle, lower, entry in prepared.needles:
+        haystack, index_map = folds[lower]
         pos = haystack.find(needle)
         while pos != -1:
             end = pos + len(needle)
-            start_ok = pos == 0 or not _is_word_char(haystack[pos - 1])
-            end_ok = end == len(haystack) or not _is_word_char(haystack[end])
+            start_ok = pos == 0 or not haystack[pos - 1].isalnum()
+            end_ok = end == len(haystack) or not haystack[end].isalnum()
             if start_ok and end_ok:
-                orig_start = index_map[pos]
-                orig_end = index_map[end - 1] + 1
-                candidates.append((orig_start, orig_end, entry))
+                candidates.append((index_map[pos], index_map[end - 1] + 1, entry))
             pos = haystack.find(needle, pos + 1)
 
     candidates.sort(key=lambda c: (c[0], -(c[1] - c[0])))
@@ -124,3 +166,17 @@ def match_dictionary(
         )
         last_end = end
     return entities
+
+
+def match_dictionary(
+    seg: Segment, entries: list[DictionaryEntry], strip_accents: bool = False
+) -> list[Entity]:
+    """Entities for dictionary terms found on word boundaries.
+
+    Overlapping candidates are resolved leftmost-longest. Matching is
+    case-insensitive unless the entry is case-sensitive; accents are folded
+    when strip_accents. A norm_id entry value becomes a "norm_id" attribute.
+    To match many segments against the same entries, prepare them once with
+    prepare_dictionary and call match_prepared.
+    """
+    return match_prepared(seg, prepare_dictionary(entries, strip_accents))

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import hashlib
 import random
+import unicodedata
 
 from annopipe import spans as sp
+from annopipe.core import Attribute, Entity
 
 # Alphabet with multi-code-point graphemes: combining accents, astral emoji,
 # CJK, plus plain ASCII.
@@ -179,3 +181,81 @@ def entity_fingerprint(entity) -> tuple:
         tuple((s.start, s.end) for s in sp.normalize_spans(entity.spans)),
         tuple(sorted((a.label, a.value) for a in entity.attributes)),
     )
+
+
+# Dictionary matching as first written: every call folds the text per
+# character through unicodedata and re-folds every term. Kept verbatim as the
+# reference the fast fold_text and match_dictionary are compared against.
+
+
+def frozen_fold_text(text, strip_accents, lower):
+    folded = []
+    index_map = []
+    for i, ch in enumerate(text):
+        out = ch
+        if strip_accents:
+            out = "".join(
+                c
+                for c in unicodedata.normalize("NFD", ch)
+                if not unicodedata.combining(c)
+            )
+        if lower:
+            low = out.lower()
+            if len(low) == len(out):
+                out = low
+        folded.append(out)
+        index_map.extend([i] * len(out))
+    return "".join(folded), index_map
+
+
+def _frozen_fold_term(term, strip_accents, lower):
+    return frozen_fold_text(term, strip_accents, lower)[0]
+
+
+def _frozen_is_word_char(ch):
+    return ch.isalnum()
+
+
+def frozen_match_dictionary(seg, entries, strip_accents=False):
+    exact_text, exact_map = frozen_fold_text(seg.text, strip_accents, lower=False)
+    lower_text, lower_map = frozen_fold_text(seg.text, strip_accents, lower=True)
+
+    candidates = []
+    for entry in entries:
+        if entry.case_sensitive:
+            haystack, index_map = exact_text, exact_map
+        else:
+            haystack, index_map = lower_text, lower_map
+        needle = _frozen_fold_term(
+            entry.term, strip_accents, lower=not entry.case_sensitive
+        )
+        if not needle:
+            continue
+        pos = haystack.find(needle)
+        while pos != -1:
+            end = pos + len(needle)
+            start_ok = pos == 0 or not _frozen_is_word_char(haystack[pos - 1])
+            end_ok = end == len(haystack) or not _frozen_is_word_char(haystack[end])
+            if start_ok and end_ok:
+                orig_start = index_map[pos]
+                orig_end = index_map[end - 1] + 1
+                candidates.append((orig_start, orig_end, entry))
+            pos = haystack.find(needle, pos + 1)
+
+    candidates.sort(key=lambda c: (c[0], -(c[1] - c[0])))
+    entities = []
+    last_end = 0
+    for start, end, entry in candidates:
+        if start < last_end:
+            continue
+        ent_text, ent_spans = sp.extract(seg.text, seg.spans, [(start, end)])
+        attributes = []
+        if entry.norm_id is not None:
+            attributes.append(Attribute(label="norm_id", value=entry.norm_id))
+        entities.append(
+            Entity(
+                label=entry.label, text=ent_text, spans=ent_spans, attributes=attributes
+            )
+        )
+        last_end = end
+    return entities

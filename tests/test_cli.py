@@ -6,6 +6,9 @@ import pytest
 
 from annopipe import demo
 from annopipe.cli import main
+from annopipe.io.textdir import load_text_documents
+from annopipe.pipeline import PipelineSpec, run_pipeline
+from annopipe.textops import DEFAULT_NEGATION_RULES
 
 FIXTURES = Path(__file__).parent / "fixtures" / "brat"
 
@@ -98,6 +101,71 @@ class TestRun:
 
     def test_unknown_subcommand_exits_2(self, capsys):
         assert run_cli("frobnicate") == 2
+
+
+def _step(op, inputs, outputs, params=None):
+    return {"op": op, "params": params or {}, "inputs": inputs, "outputs": outputs}
+
+
+CONTEXT_PIPELINE = {
+    "name": "negated_drugs",
+    "inputs": ["doc"],
+    "outputs": ["brat"],
+    "steps": [
+        _step("to_segment", ["doc"], ["full_text"]),
+        _step("split_sentences", ["full_text"], ["sentences"]),
+        _step(
+            "deidentify", ["sentences"], ["clean", "phi"],
+            {"rules": [{"pattern": r"\b\d{2}/\d{2}/\d{4}\b", "placeholder": "[DATE]"}]},
+        ),
+        _step(
+            "match_dictionary", ["clean"], ["drugs"],
+            {"path": str(demo.dictionary_path()), "strip_accents": True},
+        ),
+        _step(
+            "detect_context", ["clean", "drugs"], ["negated"],
+            {
+                "attribute_label": "is_negated",
+                "cues_before": DEFAULT_NEGATION_RULES.cues_before,
+                "cues_after": DEFAULT_NEGATION_RULES.cues_after,
+                "terminators": DEFAULT_NEGATION_RULES.terminators,
+            },
+        ),
+        _step("emit_brat", ["doc", "negated"], ["brat"]),
+    ],
+}
+
+
+def _negated_lines(brat):
+    return [line for line in brat.splitlines() if "\tis_negated " in line]
+
+
+@pytest.mark.parametrize("level", ["none", "steps", "full"])
+def test_detect_context_pipeline_runs_at_every_prov_level(tmp_path, corpus, level):
+    pipeline = tmp_path / "context.json"
+    pipeline.write_text(json.dumps(CONTEXT_PIPELINE), encoding="utf-8")
+    out = tmp_path / "out"
+    prov = tmp_path / "prov.json"
+    code = run_cli(
+        "run",
+        "--pipeline", pipeline,
+        "--input-dir", corpus,
+        "--output-dir", out,
+        "--prov-level", level,
+        "--prov-out", prov,
+    )
+    assert code == 0
+
+    spec = PipelineSpec.from_dict(CONTEXT_PIPELINE)
+    expected = {}
+    for doc in load_text_documents(corpus):
+        brat = run_pipeline(spec, {"doc": doc})["brat"]
+        expected[Path(doc.metadata["filename"]).stem] = _negated_lines(brat)
+    got = {
+        p.stem: _negated_lines(p.read_text(encoding="utf-8")) for p in out.glob("*.ann")
+    }
+    assert got == expected
+    assert any(expected.values())
 
 
 class TestConvert:

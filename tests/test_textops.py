@@ -1,12 +1,15 @@
 import random
+import re
 import unicodedata
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from annopipe import ops  # noqa: F401  (register builtin operations)
 from annopipe.core import Segment, create_document, full_text_segment
 from annopipe.exceptions import ScopeError
+from annopipe.pipeline import default_registry
 from annopipe.spans import ModifiedSpan, Span, normalize_spans, span_length
 from annopipe.textops import (
     DEFAULT_NEGATION_RULES,
@@ -23,6 +26,8 @@ from annopipe.textops import (
     match_regex,
     split_sentences,
 )
+from annopipe.textops import dictionary as dictionary_module
+from helpers import entity_fingerprint, frozen_fold_text, frozen_match_dictionary
 
 
 def seg_of(text):
@@ -148,7 +153,7 @@ def _naive_dictionary_matches(text, entries, strip_accents):
     """All-substrings brute-force oracle for match_dictionary."""
 
     def fold(s, lower):
-        return fold_text(s, strip_accents, lower)[0]
+        return frozen_fold_text(s, strip_accents, lower)[0]
 
     candidates = []
     for entry in entries:
@@ -315,6 +320,29 @@ class TestContext:
                 attribute_label="x", cues_before=["a"], max_token_window=0
             )
 
+    def _op(self, **params):
+        params = {"attribute_label": "is_negated", "cues_before": [r"\bpas\b"], **params}
+        return default_registry().get("detect_context").factory(params)
+
+    def test_op_returns_new_entities_and_leaves_inputs_alone(self):
+        from annopipe.core import Entity
+
+        text = "pas d'aspirine ce jour. Rien."
+        sentences = split_sentences(seg_of(text))
+        entity = Entity(label="Drug", text="aspirine", spans=[Span(6, 14)])
+        (out,) = self._op()(sentences, [entity])
+        assert entity.attributes == []
+        assert out.id != entity.id
+        assert (out.label, out.text, out.spans) == ("Drug", "aspirine", [Span(6, 14)])
+        assert [(a.label, a.value) for a in out.attributes] == [("is_negated", True)]
+
+    def test_op_raises_on_a_bad_cue_pattern(self):
+        from annopipe.core import Entity
+
+        entity = Entity(label="Drug", text="aspirine", spans=[Span(0, 8)])
+        with pytest.raises(re.error):
+            self._op(cues_before=["("])([seg_of("aspirine")], [entity])
+
 
 class TestFoldText:
     def test_index_map_points_to_original(self):
@@ -328,3 +356,88 @@ class TestFoldText:
         assert folded == "ete"
         assert [text[i] for i in index_map] == ["e", "t", "e"]
         assert all(not unicodedata.combining(c) for c in folded)
+
+
+# Characters whose fold is not one character in some mode (combining marks,
+# dotted capital I, Hangul syllables, the dz digraph), case pairs, and word
+# and non-word characters.
+FOLD_ALPHABET = "aéÉeİıßﬁ한̧́Ç_-. 1²ǅ"
+FOLD_MODES = [(s, lo) for s in (False, True) for lo in (False, True)]
+
+fold_texts = st.text(
+    alphabet=st.one_of(st.sampled_from(FOLD_ALPHABET), st.characters()), max_size=40
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fold_texts)
+def test_fold_text_matches_frozen_fold(text):
+    for strip_accents, lower in FOLD_MODES:
+        assert fold_text(text, strip_accents, lower) == frozen_fold_text(
+            text, strip_accents, lower
+        )
+
+
+def test_fold_text_of_empty_string():
+    for strip_accents, lower in FOLD_MODES:
+        assert fold_text("", strip_accents, lower) == ("", [])
+
+
+# Terms include ones that start or end with a non-word character and ones that
+# fold to "" when accents are stripped (a lone combining mark).
+DICT_TERMS = [
+    "aspirine", "Aspirine", "ASPIRINE", "asp", "paracétamol", "paracetamol",
+    "é", "É", "e", "-e", "e.", "ß", "ﬁ", "İ", "한", "_a", "1²", "\u0301", "a\u0301",
+]
+
+
+@st.composite
+def dictionaries(draw):
+    terms = draw(st.lists(st.sampled_from(DICT_TERMS), min_size=1, max_size=8))
+    # Labels are unique per entry, so a duplicate term shows which entry won.
+    return [
+        DictionaryEntry(
+            term=term,
+            label=f"L{i}",
+            norm_id=draw(st.sampled_from([None, "N1"])),
+            case_sensitive=draw(st.booleans()),
+        )
+        for i, term in enumerate(terms)
+    ]
+
+
+dict_texts = st.lists(
+    st.one_of(st.sampled_from(DICT_TERMS), fold_texts), max_size=10
+).map(" ".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dict_texts, dictionaries(), st.booleans(), st.booleans())
+def test_match_dictionary_matches_frozen_matcher(text, entries, strip_accents, deid):
+    seg = seg_of(text)
+    if deid:  # match on a modified span chain too
+        seg, _ = deidentify(seg, [DeidRule(r"\d+", "[N]")])
+    expected = frozen_match_dictionary(seg, entries, strip_accents)
+    got = match_dictionary(seg, entries, strip_accents)
+    assert [entity_fingerprint(e) for e in got] == [
+        entity_fingerprint(e) for e in expected
+    ]
+
+
+def test_match_dictionary_op_folds_terms_once(monkeypatch):
+    calls = []
+    real = dictionary_module.fold_text
+
+    def counting(text, strip_accents, lower):
+        calls.append(text)
+        return real(text, strip_accents, lower)
+
+    monkeypatch.setattr(dictionary_module, "fold_text", counting)
+    entries = [{"term": t, "label": "Drug"} for t in ("aspirine", "tramadol", "morphine")]
+    op = default_registry().get("match_dictionary").factory({"entries": entries})
+    assert len(calls) == 3
+    texts = ["sous aspirine.", "morphine le soir.", "rien."]
+    found = [[e.text for e in op(seg_of(t))] for t in texts]
+    assert found == [["aspirine"], ["morphine"], []]
+    # One fold per segment: no entry is case-sensitive, so no exact-case fold.
+    assert len(calls) == 3 + len(texts)
