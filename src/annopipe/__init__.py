@@ -44,6 +44,7 @@ from .spans import (
     Span,
     concatenate,
     extract,
+    extract_each,
     insert,
     normalize_spans,
     remove,
@@ -68,6 +69,7 @@ __all__ = [
     "ModifiedSpan",
     "span_length",
     "extract",
+    "extract_each",
     "replace",
     "remove",
     "insert",

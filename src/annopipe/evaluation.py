@@ -91,15 +91,25 @@ def align_entities(
     pred_sets = [_char_set(e) for e in pred]
     ref_sets = [_char_set(e) for e in ref]
 
+    def key(entity: Entity, chars: frozenset) -> tuple:
+        return (entity.label if spec.label_sensitive else None, chars)
+
     candidates = []
-    for pi, p in enumerate(pred):
+    if spec.mode == "exact":
+        # Each pred meets only the refs with its key, in ref order, so the
+        # candidates keep the order of a scan over all pairs.
+        refs_by_key: dict[tuple, list[int]] = {}
         for ri, r in enumerate(ref):
-            if spec.label_sensitive and p.label != r.label:
-                continue
-            if spec.mode == "exact":
-                if pred_sets[pi] and pred_sets[pi] == ref_sets[ri]:
-                    candidates.append((1.0, _start(r), _start(p), pi, ri))
-            else:
+            refs_by_key.setdefault(key(r, ref_sets[ri]), []).append(ri)
+        for pi, p in enumerate(pred):
+            if pred_sets[pi]:
+                for ri in refs_by_key.get(key(p, pred_sets[pi]), ()):
+                    candidates.append((1.0, _start(ref[ri]), _start(p), pi, ri))
+    else:
+        for pi, p in enumerate(pred):
+            for ri, r in enumerate(ref):
+                if spec.label_sensitive and p.label != r.label:
+                    continue
                 iou = _iou(pred_sets[pi], ref_sets[ri])
                 if iou >= spec.iou_threshold:
                     candidates.append((iou, _start(r), _start(p), pi, ri))

@@ -9,7 +9,6 @@ from __future__ import annotations
 import dataclasses
 
 from .core import full_text_segment, new_id
-from .exceptions import ScopeError
 from .io.brat import emit_brat
 from .pipeline import OperationRegistry, default_registry
 from .textops import (
@@ -19,6 +18,7 @@ from .textops import (
     RegexRule,
     deidentify,
     detect_context,
+    entities_by_sentence,
     load_dictionary,
     match_dates,
     match_prepared,
@@ -92,16 +92,13 @@ def _detect_context_factory(params):
     )
 
     def run(sentences, entities):
-        # New entities carrying the context attribute found in their sentence;
-        # the inputs stay untouched, so provenance can derive one from the other.
+        # New entities carrying the context attribute found in each sentence
+        # that holds them, in sentence order; the inputs stay untouched, so
+        # provenance can derive one from the other.
         added = {e.id: [] for e in entities}
-        for sentence in sentences:
-            for entity in entities:
-                try:
-                    pairs = detect_context(sentence, [entity], rules)
-                except ScopeError:
-                    continue
-                for entity_id, attribute in pairs:
+        for sentence, held in zip(sentences, entities_by_sentence(sentences, entities)):
+            if held:
+                for entity_id, attribute in detect_context(sentence, held, rules):
                     added[entity_id].append(attribute)
         return [
             dataclasses.replace(

@@ -8,7 +8,9 @@ original ranges the replacement covers. All offsets are Unicode code points.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Sequence, Union
 
 from .exceptions import ArityMismatchError, InvalidRangeError
@@ -75,25 +77,34 @@ def _check_ranges(ranges: Sequence[tuple[int, int]], text_length: int) -> None:
         first = False
 
 
-def _slice_chain(spans: Sequence[AnySpan], start: int, end: int) -> list[AnySpan]:
+def _offsets(spans: Sequence[AnySpan]) -> list[int]:
+    """Offset of each span in the text the chain annotates, then the total length."""
+    return list(accumulate((s.length for s in spans), initial=0))
+
+
+def _slice_chain(
+    spans: Sequence[AnySpan], offsets: list[int], start: int, end: int
+) -> list[AnySpan]:
     """Spans covering [start, end) of the text the chain annotates.
 
-    Original spans are narrowed; modified spans yield a modified span of the
-    sliced length carrying the full replaced list.
+    `offsets` is `_offsets(spans)`; the walk starts at the span holding
+    `start`, so a slice costs O(log n + k) for k spans returned. Original
+    spans are narrowed; modified spans yield a modified span of the sliced
+    length carrying the full replaced list.
     """
     out: list[AnySpan] = []
-    offset = 0
-    for span in spans:
+    for i in range(bisect_right(offsets, start) - 1, len(spans)):
+        offset = offsets[i]
+        if offset >= end:
+            break
+        span = spans[i]
         lo = max(start, offset)
-        hi = min(end, offset + span.length)
+        hi = min(end, offsets[i + 1])
         if lo < hi:
             if isinstance(span, Span):
                 out.append(Span(span.start + (lo - offset), span.start + (hi - offset)))
             else:
                 out.append(ModifiedSpan(hi - lo, span.replaced))
-        offset += span.length
-        if offset >= end:
-            break
     return out
 
 
@@ -130,12 +141,29 @@ def extract(
 ) -> tuple[str, list[AnySpan]]:
     """Keep only the given ranges of the text, slicing the chain accordingly."""
     _check_ranges(ranges, len(text))
+    offsets = _offsets(spans)
     out_text = []
     out_spans: list[AnySpan] = []
     for start, end in ranges:
         out_text.append(text[start:end])
-        out_spans.extend(_slice_chain(spans, start, end))
+        out_spans.extend(_slice_chain(spans, offsets, start, end))
     return "".join(out_text), _coalesce(out_spans)
+
+
+def extract_each(
+    text: str, spans: Sequence[AnySpan], ranges: Sequence[tuple[int, int]]
+) -> list[tuple[str, list[AnySpan]]]:
+    """Cut each range out on its own: item i is `extract(text, spans, [ranges[i]])`.
+
+    The ranges may come in any order and overlap. The chain's offsets are
+    computed once for all of them.
+    """
+    offsets = _offsets(spans)
+    out = []
+    for start, end in ranges:
+        _check_ranges(((start, end),), len(text))
+        out.append((text[start:end], _coalesce(_slice_chain(spans, offsets, start, end))))
+    return out
 
 
 def replace(
@@ -154,24 +182,25 @@ def replace(
             f"{len(ranges)} ranges but {len(replacements)} replacements"
         )
     _check_ranges(ranges, len(text))
+    offsets = _offsets(spans)
     out_text = []
     out_spans: list[AnySpan] = []
     cursor = 0
     for (start, end), replacement in zip(ranges, replacements):
         if cursor < start:
             out_text.append(text[cursor:start])
-            out_spans.extend(_slice_chain(spans, cursor, start))
+            out_spans.extend(_slice_chain(spans, offsets, cursor, start))
         if replacement:
             out_text.append(replacement)
             out_spans.append(
                 ModifiedSpan(
-                    len(replacement), _replaced_ranges(_slice_chain(spans, start, end))
+                    len(replacement), _replaced_ranges(_slice_chain(spans, offsets, start, end))
                 )
             )
         cursor = end
     if cursor < len(text):
         out_text.append(text[cursor:])
-        out_spans.extend(_slice_chain(spans, cursor, len(text)))
+        out_spans.extend(_slice_chain(spans, offsets, cursor, len(text)))
     return "".join(out_text), _coalesce(out_spans)
 
 

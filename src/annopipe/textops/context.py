@@ -8,7 +8,9 @@ The attribute is always emitted, with value False when no cue applies.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from ..core import Attribute, Entity, Segment
 from ..exceptions import ScopeError
@@ -28,6 +30,13 @@ class ContextRuleSet:
             raise ValueError("at least one cue list must be non-empty")
         if self.max_token_window < 1:
             raise ValueError("max_token_window must be positive")
+        self._cues_before = _compiled(self.cues_before)
+        self._cues_after = _compiled(self.cues_after)
+        self._terminators = _compiled(self.terminators)
+
+
+def _compiled(patterns: list[str]) -> list[re.Pattern]:
+    return [re.compile(p, re.IGNORECASE) for p in patterns]
 
 
 _NEGATION_CUES = [
@@ -67,60 +76,115 @@ DEFAULT_FAMILY_RULES = ContextRuleSet(
 )
 
 
-def _original_index_per_char(sentence: Segment) -> list:
-    """For each sentence character, its original document index (None if inserted)."""
-    out = []
-    for span in sentence.spans:
-        if isinstance(span, Span):
-            out.extend(range(span.start, span.end))
-        else:
-            out.extend([None] * span.length)
-    return out
+def _original_cover(sentence: Segment) -> list[Span]:
+    """Merged original ranges of the sentence's own characters.
+
+    Placeholder (modified) characters stand for text the sentence no longer
+    shows, so they cover nothing.
+    """
+    return normalize_spans(s for s in sentence.spans if isinstance(s, Span))
 
 
-def _local_range(sentence: Segment, entity: Entity, char_origins: list) -> tuple[int, int]:
-    """The entity's [start, end) within the sentence's own text."""
+def _covers(cover: list[Span], ranges: list[Span]) -> bool:
+    """Whether every range lies inside one range of a merged cover."""
+    starts = [r.start for r in cover]
+    for r in ranges:
+        k = bisect_right(starts, r.start) - 1
+        if k < 0 or cover[k].end < r.end:
+            return False
+    return True
+
+
+def entities_by_sentence(
+    sentences: list[Segment], entities: list[Entity]
+) -> list[list[Entity]]:
+    """For each sentence, the entities it holds, in input order.
+
+    A sentence holds an entity when its original characters contain all of
+    the entity's normalized original range; an entity with no original range
+    is held by none. One index of the sentences' covers, sorted by original
+    offset, finds the candidates of each entity by bisection.
+    """
+    covers = [_original_cover(s) for s in sentences]
+    index = sorted((r.start, r.end, i) for i, cover in enumerate(covers) for r in cover)
+    starts = [start for start, _, _ in index]
+    reach = list(accumulate((end for _, end, _ in index), max))
+    held: list[list[Entity]] = [[] for _ in sentences]
+    for entity in entities:
+        ranges = normalize_spans(entity.spans)
+        if not ranges:
+            continue
+        first = ranges[0]
+        # Walk back over the covers starting at or before the entity while
+        # some of them still reach its end.
+        k = bisect_right(starts, first.start) - 1
+        while k >= 0 and reach[k] >= first.end:
+            _, end, i = index[k]
+            if end >= first.end and _covers(covers[i], ranges[1:]):
+                held[i].append(entity)
+            k -= 1
+    return held
+
+
+def _local_range(
+    entity: Entity, pieces: list[tuple[int, Span]], cover: list[Span]
+) -> tuple[int, int]:
+    """The entity's [start, end) within the sentence's own text.
+
+    `pieces` are the sentence's original spans with their offsets in its text.
+    """
     ent_ranges = normalize_spans(entity.spans)
     if not ent_ranges:
         raise ScopeError(f"entity {entity.id} projects to no original span")
-    targets = set()
-    for r in ent_ranges:
-        targets.update(range(r.start, r.end))
-    positions = [i for i, orig in enumerate(char_origins) if orig in targets]
-    if not positions:
+    first = last = None
+    for offset, piece in pieces:
+        for r in ent_ranges:
+            lo, hi = max(piece.start, r.start), min(piece.end, r.end)
+            if lo < hi:
+                lo, hi = offset + lo - piece.start, offset + hi - piece.start
+                first = lo if first is None else min(first, lo)
+                last = hi if last is None else max(last, hi)
+    if first is None:
         raise ScopeError(f"entity {entity.id} lies outside the sentence")
-    covered = {char_origins[i] for i in positions}
-    if not targets <= covered:
+    if not _covers(cover, ent_ranges):
         raise ScopeError(f"entity {entity.id} extends beyond the sentence")
-    return positions[0], positions[-1] + 1
+    return first, last
 
 
 def detect_context(
     sentence: Segment, entities: list[Entity], rules: ContextRuleSet
 ) -> list[tuple[str, Attribute]]:
-    """(entity_id, attribute) pairs; one attribute per entity, True or False."""
+    """(entity_id, attribute) pairs; one attribute per entity, True or False.
+
+    Cues, terminators and tokens are scanned once per call, so evaluate all
+    the entities of a sentence together (see entities_by_sentence). Raises
+    ScopeError when an entity is not wholly inside the sentence.
+    """
     text = sentence.text
-    char_origins = _original_index_per_char(sentence)
+    offsets = accumulate((s.length for s in sentence.spans), initial=0)
+    pieces = [
+        (offset, span)
+        for offset, span in zip(offsets, sentence.spans)
+        if isinstance(span, Span)
+    ]
+    cover = _original_cover(sentence)
     tokens = [m.span() for m in re.finditer(r"\S+", text)]
-    cues_before = [
-        m.span() for cue in rules.cues_before for m in re.finditer(cue, text, re.IGNORECASE)
-    ]
-    cues_after = [
-        m.span() for cue in rules.cues_after for m in re.finditer(cue, text, re.IGNORECASE)
-    ]
-    terminators = [
-        m.span() for t in rules.terminators for m in re.finditer(t, text, re.IGNORECASE)
-    ]
+    token_starts = [start for start, _ in tokens]
+    token_ends = [end for _, end in tokens]
+    cues_before = [m.span() for cue in rules._cues_before for m in cue.finditer(text)]
+    cues_after = [m.span() for cue in rules._cues_after for m in cue.finditer(text)]
+    terminators = [m.span() for t in rules._terminators for m in t.finditer(text)]
 
     def gap_blocked(lo: int, hi: int) -> bool:
         return any(lo <= t_start and t_end <= hi for t_start, t_end in terminators)
 
     def tokens_between(lo: int, hi: int) -> int:
-        return sum(1 for t_start, t_end in tokens if lo <= t_start and t_end <= hi)
+        # Tokens are disjoint and sorted, so those inside [lo, hi] are a run.
+        return max(0, bisect_right(token_ends, hi) - bisect_left(token_starts, lo))
 
     results = []
     for entity in entities:
-        ent_start, ent_end = _local_range(sentence, entity, char_origins)
+        ent_start, ent_end = _local_range(entity, pieces, cover)
         triggered = any(
             cue_end <= ent_start
             and tokens_between(cue_end, ent_start) <= rules.max_token_window

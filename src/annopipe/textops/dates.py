@@ -13,7 +13,7 @@ import re
 from typing import Optional
 
 from ..core import Attribute, Entity, Segment
-from ..spans import extract
+from ..spans import extract_each
 
 _MONTHS_FR = {
     "janvier": 1,
@@ -68,17 +68,20 @@ def match_dates(seg: Segment) -> list[Entity]:
             candidates.append((m.start(), m.end(), _normalize(m.groups(), order)))
     candidates.sort(key=lambda c: (c[0], -(c[1] - c[0])))
 
-    entities = []
+    selected = []
     last_end = 0
     for start, end, normalized in candidates:
-        if start < last_end:
-            continue
-        ent_text, ent_spans = extract(seg.text, seg.spans, [(start, end)])
+        if start >= last_end:
+            selected.append((start, end, normalized))
+            last_end = end
+
+    entities = []
+    pieces = extract_each(seg.text, seg.spans, [(s, e) for s, e, _ in selected])
+    for (_, _, normalized), (ent_text, ent_spans) in zip(selected, pieces):
         attributes = []
         if normalized is not None:
             attributes.append(Attribute(label="normalized", value=normalized))
         entities.append(
             Entity(label="date", text=ent_text, spans=ent_spans, attributes=attributes)
         )
-        last_end = end
     return entities

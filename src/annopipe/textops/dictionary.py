@@ -10,7 +10,7 @@ from pathlib import Path
 from typing import NamedTuple, Optional
 
 from ..core import Attribute, Entity, Segment
-from ..spans import extract
+from ..spans import extract_each
 
 
 @dataclass
@@ -150,12 +150,16 @@ def match_prepared(seg: Segment, prepared: PreparedDictionary) -> list[Entity]:
             pos = haystack.find(needle, pos + 1)
 
     candidates.sort(key=lambda c: (c[0], -(c[1] - c[0])))
-    entities = []
+    selected = []
     last_end = 0
     for start, end, entry in candidates:
-        if start < last_end:
-            continue
-        ent_text, ent_spans = extract(seg.text, seg.spans, [(start, end)])
+        if start >= last_end:
+            selected.append((start, end, entry))
+            last_end = end
+
+    entities = []
+    pieces = extract_each(seg.text, seg.spans, [(s, e) for s, e, _ in selected])
+    for (_, _, entry), (ent_text, ent_spans) in zip(selected, pieces):
         attributes = []
         if entry.norm_id is not None:
             attributes.append(Attribute(label="norm_id", value=entry.norm_id))
@@ -164,7 +168,6 @@ def match_prepared(seg: Segment, prepared: PreparedDictionary) -> list[Entity]:
                 label=entry.label, text=ent_text, spans=ent_spans, attributes=attributes
             )
         )
-        last_end = end
     return entities
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..core import Entity, Segment
-from ..spans import extract
+from ..spans import extract_each
 
 
 @dataclass
@@ -34,7 +34,8 @@ def match_regex(seg: Segment, rules: list[RegexRule]) -> list[Entity]:
     A rule whose exclusion pattern matches the segment text contributes no
     entities. With a capture group set, the entity covers only that group.
     """
-    entities = []
+    labels = []
+    ranges = []
     for rule in rules:
         if rule._exclusion and rule._exclusion.search(seg.text):
             continue
@@ -42,7 +43,13 @@ def match_regex(seg: Segment, rules: list[RegexRule]) -> list[Entity]:
             start, end = m.span(rule.group)
             if start == -1 or start >= end:
                 continue
-            ent_text, ent_spans = extract(seg.text, seg.spans, [(start, end)])
-            entities.append(Entity(label=rule.label, text=ent_text, spans=ent_spans))
+            labels.append(rule.label)
+            ranges.append((start, end))
+    entities = [
+        Entity(label=label, text=ent_text, spans=ent_spans)
+        for label, (ent_text, ent_spans) in zip(
+            labels, extract_each(seg.text, seg.spans, ranges)
+        )
+    ]
     entities.sort(key=lambda e: tuple((s.start, s.end) for s in e.normalized_spans()))
     return entities

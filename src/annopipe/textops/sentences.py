@@ -9,7 +9,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from ..core import Segment
-from ..spans import extract
+from ..spans import extract_each
 
 
 def _trimmed(text: str, start: int, end: int):
@@ -48,8 +48,7 @@ def split_sentences(
     if rng:
         ranges.append(rng)
 
-    sentences = []
-    for s, e in ranges:
-        sent_text, sent_spans = extract(text, seg.spans, [(s, e)])
-        sentences.append(Segment(label="sentence", text=sent_text, spans=sent_spans))
-    return sentences
+    return [
+        Segment(label="sentence", text=sent_text, spans=sent_spans)
+        for sent_text, sent_spans in extract_each(text, seg.spans, ranges)
+    ]

@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import random
+import re
 import unicodedata
+from typing import Iterable, Optional, Sequence
 
 from annopipe import spans as sp
-from annopipe.core import Attribute, Entity
+from annopipe.core import Attribute, Entity, Segment, new_id
+from annopipe.evaluation import MatchSpec
+from annopipe.exceptions import ArityMismatchError, InvalidRangeError, ScopeError
+from annopipe.spans import Span, normalize_spans
+from annopipe.textops import ContextRuleSet
 
 # Alphabet with multi-code-point graphemes: combining accents, astral emoji,
 # CJK, plus plain ASCII.
@@ -259,3 +266,326 @@ def frozen_match_dictionary(seg, entries, strip_accents=False):
         )
         last_end = end
     return entities
+
+
+# The span slicer as first written: every slice walks the chain from its
+# start. Kept verbatim as the reference the bisected slicer is compared
+# against.
+
+
+def frozen_check_ranges(ranges: Sequence[tuple[int, int]], text_length: int) -> None:
+    prev_end = 0
+    first = True
+    for start, end in ranges:
+        if start > end:
+            raise InvalidRangeError(f"range ({start}, {end}) has start > end")
+        if start < 0 or end > text_length:
+            raise InvalidRangeError(
+                f"range ({start}, {end}) out of bounds for length {text_length}"
+            )
+        if not first and start < prev_end:
+            raise InvalidRangeError(
+                f"range ({start}, {end}) overlaps or precedes previous range"
+            )
+        prev_end = end
+        first = False
+
+
+def frozen_slice_chain(spans: Sequence[sp.AnySpan], start: int, end: int) -> list[sp.AnySpan]:
+    """Spans covering [start, end) of the text the chain annotates.
+
+    Original spans are narrowed; modified spans yield a modified span of the
+    sliced length carrying the full replaced list.
+    """
+    out: list[sp.AnySpan] = []
+    offset = 0
+    for span in spans:
+        lo = max(start, offset)
+        hi = min(end, offset + span.length)
+        if lo < hi:
+            if isinstance(span, sp.Span):
+                out.append(sp.Span(span.start + (lo - offset), span.start + (hi - offset)))
+            else:
+                out.append(sp.ModifiedSpan(hi - lo, span.replaced))
+        offset += span.length
+        if offset >= end:
+            break
+    return out
+
+
+def frozen_replaced_ranges(spans: Iterable[sp.AnySpan]) -> tuple[sp.Span, ...]:
+    """Original ranges a chain portion stands for, in chain order."""
+    out: list[sp.Span] = []
+    for span in spans:
+        if isinstance(span, sp.Span):
+            if span.length > 0:
+                out.append(span)
+        else:
+            out.extend(span.replaced)
+    return tuple(out)
+
+
+def frozen_coalesce(spans: list[sp.AnySpan]) -> list[sp.AnySpan]:
+    """Merge consecutive contiguous original spans (canonical chain form)."""
+    out: list[sp.AnySpan] = []
+    for span in spans:
+        if (
+            out
+            and isinstance(span, sp.Span)
+            and isinstance(out[-1], sp.Span)
+            and out[-1].end == span.start
+        ):
+            out[-1] = sp.Span(out[-1].start, span.end)
+        else:
+            out.append(span)
+    return out
+
+
+def frozen_extract(
+    text: str, spans: Sequence[sp.AnySpan], ranges: Sequence[tuple[int, int]]
+) -> tuple[str, list[sp.AnySpan]]:
+    """Keep only the given ranges of the text, slicing the chain accordingly."""
+    frozen_check_ranges(ranges, len(text))
+    out_text = []
+    out_spans: list[sp.AnySpan] = []
+    for start, end in ranges:
+        out_text.append(text[start:end])
+        out_spans.extend(frozen_slice_chain(spans, start, end))
+    return "".join(out_text), frozen_coalesce(out_spans)
+
+
+def frozen_replace(
+    text: str,
+    spans: Sequence[sp.AnySpan],
+    ranges: Sequence[tuple[int, int]],
+    replacements: Sequence[str],
+) -> tuple[str, list[sp.AnySpan]]:
+    """Substitute each range with its replacement text.
+
+    The covered portion of the chain becomes a modified span remembering the
+    original ranges it stood for. Zero-length modified spans are dropped.
+    """
+    if len(ranges) != len(replacements):
+        raise ArityMismatchError(
+            f"{len(ranges)} ranges but {len(replacements)} replacements"
+        )
+    frozen_check_ranges(ranges, len(text))
+    out_text = []
+    out_spans: list[sp.AnySpan] = []
+    cursor = 0
+    for (start, end), replacement in zip(ranges, replacements):
+        if cursor < start:
+            out_text.append(text[cursor:start])
+            out_spans.extend(frozen_slice_chain(spans, cursor, start))
+        if replacement:
+            out_text.append(replacement)
+            out_spans.append(
+                sp.ModifiedSpan(
+                    len(replacement), frozen_replaced_ranges(frozen_slice_chain(spans, start, end))
+                )
+            )
+        cursor = end
+    if cursor < len(text):
+        out_text.append(text[cursor:])
+        out_spans.extend(frozen_slice_chain(spans, cursor, len(text)))
+    return "".join(out_text), frozen_coalesce(out_spans)
+
+
+# Context detection as first written: the op evaluates every (sentence,
+# entity) pair and skips the pairs that raise ScopeError; each call rescans
+# the sentence character by character. Kept verbatim as the reference for
+# the op that scopes each entity once and scans each sentence once.
+
+
+def frozen_original_index_per_char(sentence: Segment) -> list:
+    """For each sentence character, its original document index (None if inserted)."""
+    out = []
+    for span in sentence.spans:
+        if isinstance(span, Span):
+            out.extend(range(span.start, span.end))
+        else:
+            out.extend([None] * span.length)
+    return out
+
+
+def frozen_local_range(sentence: Segment, entity: Entity, char_origins: list) -> tuple[int, int]:
+    """The entity's [start, end) within the sentence's own text."""
+    ent_ranges = normalize_spans(entity.spans)
+    if not ent_ranges:
+        raise ScopeError(f"entity {entity.id} projects to no original span")
+    targets = set()
+    for r in ent_ranges:
+        targets.update(range(r.start, r.end))
+    positions = [i for i, orig in enumerate(char_origins) if orig in targets]
+    if not positions:
+        raise ScopeError(f"entity {entity.id} lies outside the sentence")
+    covered = {char_origins[i] for i in positions}
+    if not targets <= covered:
+        raise ScopeError(f"entity {entity.id} extends beyond the sentence")
+    return positions[0], positions[-1] + 1
+
+
+def frozen_detect_context(
+    sentence: Segment, entities: list[Entity], rules: ContextRuleSet
+) -> list[tuple[str, Attribute]]:
+    """(entity_id, attribute) pairs; one attribute per entity, True or False."""
+    text = sentence.text
+    char_origins = frozen_original_index_per_char(sentence)
+    tokens = [m.span() for m in re.finditer(r"\S+", text)]
+    cues_before = [
+        m.span() for cue in rules.cues_before for m in re.finditer(cue, text, re.IGNORECASE)
+    ]
+    cues_after = [
+        m.span() for cue in rules.cues_after for m in re.finditer(cue, text, re.IGNORECASE)
+    ]
+    terminators = [
+        m.span() for t in rules.terminators for m in re.finditer(t, text, re.IGNORECASE)
+    ]
+
+    def gap_blocked(lo: int, hi: int) -> bool:
+        return any(lo <= t_start and t_end <= hi for t_start, t_end in terminators)
+
+    def tokens_between(lo: int, hi: int) -> int:
+        return sum(1 for t_start, t_end in tokens if lo <= t_start and t_end <= hi)
+
+    results = []
+    for entity in entities:
+        ent_start, ent_end = frozen_local_range(sentence, entity, char_origins)
+        triggered = any(
+            cue_end <= ent_start
+            and tokens_between(cue_end, ent_start) <= rules.max_token_window
+            and not gap_blocked(cue_end, ent_start)
+            for _, cue_end in cues_before
+        ) or any(
+            cue_start >= ent_end
+            and tokens_between(ent_end, cue_start) <= rules.max_token_window
+            and not gap_blocked(ent_end, cue_start)
+            for cue_start, _ in cues_after
+        )
+        results.append((entity.id, Attribute(label=rules.attribute_label, value=triggered)))
+    return results
+
+
+def frozen_detect_context_factory(params):
+    rules = ContextRuleSet(
+        attribute_label=params["attribute_label"],
+        cues_before=params.get("cues_before", []),
+        cues_after=params.get("cues_after", []),
+        terminators=params.get("terminators", []),
+        max_token_window=params.get("max_token_window", 5),
+    )
+
+    def run(sentences, entities):
+        # New entities carrying the context attribute found in their sentence;
+        # the inputs stay untouched, so provenance can derive one from the other.
+        added = {e.id: [] for e in entities}
+        for sentence in sentences:
+            for entity in entities:
+                try:
+                    pairs = frozen_detect_context(sentence, [entity], rules)
+                except ScopeError:
+                    continue
+                for entity_id, attribute in pairs:
+                    added[entity_id].append(attribute)
+        return [
+            dataclasses.replace(
+                e,
+                id=new_id(),
+                attributes=e.attributes + added[e.id],
+                metadata=dict(e.metadata),
+                spans=list(e.spans),
+            )
+            for e in entities
+        ]
+
+    return run
+
+
+# Entity alignment as first written: exact mode tests every pred x ref pair.
+# Kept verbatim as the reference for the keyed exact-mode lookup.
+
+
+def _frozen_char_set(entity: Entity) -> frozenset:
+    chars = set()
+    for span in sp.normalize_spans(entity.spans):
+        chars.update(range(span.start, span.end))
+    return frozenset(chars)
+
+
+def _frozen_start(entity: Entity) -> int:
+    ranges = sp.normalize_spans(entity.spans)
+    return ranges[0].start if ranges else -1
+
+
+def _frozen_iou(a: frozenset, b: frozenset) -> float:
+    union = len(a | b)
+    return len(a & b) / union if union else 0.0
+
+
+def frozen_align_entities(
+    pred: list[Entity], ref: list[Entity], spec: Optional[MatchSpec] = None
+) -> tuple[list[tuple[str, str]], list[Entity], list[Entity]]:
+    """One-to-one alignment of predicted and reference entities.
+
+    Exact mode requires identical normalized span lists (and labels when
+    label-sensitive); overlap mode accepts pairs whose character IoU reaches
+    the threshold. Pairs are resolved greedily by descending IoU, ties broken
+    by (ref start, pred start).
+    """
+    spec = spec or MatchSpec()
+    pred_sets = [_frozen_char_set(e) for e in pred]
+    ref_sets = [_frozen_char_set(e) for e in ref]
+
+    candidates = []
+    for pi, p in enumerate(pred):
+        for ri, r in enumerate(ref):
+            if spec.label_sensitive and p.label != r.label:
+                continue
+            if spec.mode == "exact":
+                if pred_sets[pi] and pred_sets[pi] == ref_sets[ri]:
+                    candidates.append((1.0, _frozen_start(r), _frozen_start(p), pi, ri))
+            else:
+                iou = _frozen_iou(pred_sets[pi], ref_sets[ri])
+                if iou >= spec.iou_threshold:
+                    candidates.append((iou, _frozen_start(r), _frozen_start(p), pi, ri))
+    candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
+
+    match_of_pred: dict[int, int] = {}
+    match_of_ref: dict[int, int] = {}
+    for _, _, _, pi, ri in candidates:
+        if pi in match_of_pred or ri in match_of_ref:
+            continue
+        match_of_pred[pi] = ri
+        match_of_ref[ri] = pi
+
+    # Augment the greedy matching to maximum cardinality so that true
+    # positive counts are invariant under swapping pred and ref.
+    adjacency: dict[int, list[int]] = {}
+    for _, _, _, pi, ri in candidates:
+        adjacency.setdefault(pi, []).append(ri)
+
+    def augment(pi: int, visited: set) -> bool:
+        for ri in adjacency.get(pi, []):
+            if ri in visited:
+                continue
+            visited.add(ri)
+            if ri not in match_of_ref or augment(match_of_ref[ri], visited):
+                match_of_pred[pi] = ri
+                match_of_ref[ri] = pi
+                return True
+        return False
+
+    for pi in range(len(pred)):
+        if pi not in match_of_pred:
+            augment(pi, set())
+
+    pairs = []
+    seen_pred = set()
+    for _, _, _, pi, ri in candidates:
+        if pi in seen_pred or match_of_pred.get(pi) != ri:
+            continue
+        seen_pred.add(pi)
+        pairs.append((pred[pi].id, ref[ri].id))
+    unmatched_pred = [p for i, p in enumerate(pred) if i not in match_of_pred]
+    unmatched_ref = [r for i, r in enumerate(ref) if i not in match_of_ref]
+    return pairs, unmatched_pred, unmatched_ref

@@ -17,6 +17,8 @@ from annopipe.evaluation import (
 )
 from annopipe.spans import Span
 
+from helpers import frozen_align_entities
+
 
 def ent(start, end, label="Drug"):
     return Entity(label=label, text="x" * (end - start), spans=[Span(start, end)])
@@ -151,3 +153,37 @@ class TestReporting:
     def test_compare_runs_tie(self):
         same = evaluate([ent(0, 5)], [ent(0, 5)])
         assert "winner: tie" in compare_runs(same, same)
+
+
+# Keyed exact-mode alignment against the all-pairs scan it replaced.
+
+fragments = st.tuples(st.integers(0, 12), st.integers(0, 3)).map(
+    lambda t: Span(t[0], t[0] + t[1])
+)
+entities = st.builds(
+    lambda label, spans: Entity(label=label, text="", spans=[])
+    if not spans
+    else Entity(label=label, text="x" * sum(s.length for s in spans), spans=spans),
+    st.sampled_from(["Drug", "Date"]),
+    # Several fragments: discontiguous, adjacent, overlapping or empty.
+    st.lists(fragments, max_size=3),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(entities, max_size=8),
+    st.lists(entities, max_size=8),
+    st.sampled_from(["exact", "overlap"]),
+    st.booleans(),
+)
+def test_align_entities_matches_frozen_align(pred, ref, mode, label_sensitive):
+    # Repeat some entities so that equal keys compete for one another.
+    pred = pred + pred[:2]
+    ref = ref + ref[1:3]
+    spec = MatchSpec(mode=mode, label_sensitive=label_sensitive)
+    got = align_entities(pred, ref, spec)
+    expected = frozen_align_entities(pred, ref, spec)
+    assert got[0] == expected[0]
+    assert [e.id for e in got[1]] == [e.id for e in expected[1]]
+    assert [e.id for e in got[2]] == [e.id for e in expected[2]]

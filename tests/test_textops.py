@@ -7,11 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from annopipe import ops  # noqa: F401  (register builtin operations)
-from annopipe.core import Segment, create_document, full_text_segment
+from annopipe.core import Entity, Segment, create_document, full_text_segment
 from annopipe.exceptions import ScopeError
 from annopipe.pipeline import default_registry
-from annopipe.spans import ModifiedSpan, Span, normalize_spans, span_length
+from annopipe.spans import (
+    ModifiedSpan,
+    Span,
+    concatenate,
+    extract,
+    normalize_spans,
+    span_length,
+)
 from annopipe.textops import (
+    DEFAULT_FAMILY_RULES,
+    DEFAULT_HYPOTHESIS_RULES,
     DEFAULT_NEGATION_RULES,
     ContextRuleSet,
     DeidRule,
@@ -27,7 +36,15 @@ from annopipe.textops import (
     split_sentences,
 )
 from annopipe.textops import dictionary as dictionary_module
-from helpers import entity_fingerprint, frozen_fold_text, frozen_match_dictionary
+from helpers import (
+    entity_fingerprint,
+    frozen_detect_context,
+    frozen_detect_context_factory,
+    frozen_fold_text,
+    frozen_local_range,
+    frozen_match_dictionary,
+    frozen_original_index_per_char,
+)
 
 
 def seg_of(text):
@@ -441,3 +458,177 @@ def test_match_dictionary_op_folds_terms_once(monkeypatch):
     assert found == [["aspirine"], ["morphine"], []]
     # One fold per segment: no entry is case-sensitive, so no exact-case fold.
     assert len(calls) == 3 + len(texts)
+
+
+# The detect_context op against the per-(sentence, entity) op it replaced.
+
+CONTEXT_WORDS = [
+    "pas", "de", "sans", "aucun", "ni", "si", "possible", "ATCD", "mère",
+    "familial", "mais", ",", ";", "aspirine", "fièvre", "morphine", "12/03/2021",
+    ".", "!", "\n",
+]
+CONTEXT_RULES = [
+    DEFAULT_NEGATION_RULES,
+    DEFAULT_HYPOTHESIS_RULES,
+    DEFAULT_FAMILY_RULES,
+    ContextRuleSet(
+        attribute_label="is_negated",
+        cues_before=[r"\bpas\b"],
+        cues_after=[r"\bsans\b"],
+        terminators=[","],
+        max_token_window=1,
+    ),
+]
+
+
+def _random_cut(rng, seg, max_ranges=2):
+    """A piece of seg made of up to max_ranges sorted ranges (maybe empty)."""
+    n = len(seg.text)
+    points = sorted(rng.randint(0, n) for _ in range(2 * rng.randint(1, max_ranges)))
+    text, spans = extract(seg.text, seg.spans, list(zip(points[::2], points[1::2])))
+    return text, spans
+
+
+def context_case(seed):
+    """Sentences and entities over one random note.
+
+    Sentences: the split (de-identified or not), plus overlapping extracts,
+    duplicates, concatenations and a shuffle. Entities: ranges of the raw
+    note (some spanning two sentences or lying between them), PHI entities
+    that lie only inside a placeholder, cuts of de-identified sentences, and
+    entities with no original span.
+    """
+    rng = random.Random(seed)
+    doc_seg = seg_of(" ".join(rng.choice(CONTEXT_WORDS) for _ in range(rng.randint(0, 30))))
+    sentences = split_sentences(doc_seg)
+    phi = []
+    if rng.random() < 0.5:
+        pairs = [deidentify(s, [DeidRule(r"\d{2}/\d{2}/\d{4}", "[DATE]")]) for s in sentences]
+        sentences = [s for s, _ in pairs]
+        phi = [e for _, found in pairs for e in found]
+    for _ in range(rng.randint(0, 3)):
+        kind = rng.choice(["extract", "duplicate", "concatenate"])
+        if kind == "extract":
+            text, spans = _random_cut(rng, doc_seg)
+        elif kind == "duplicate" and sentences:
+            sentences.append(rng.choice(sentences))
+            continue
+        elif kind == "concatenate" and sentences:
+            parts = [rng.choice(sentences) for _ in range(2)]
+            text, spans = concatenate([(s.text, s.spans) for s in parts], " ")
+        else:
+            continue
+        sentences.append(Segment(label="sentence", text=text, spans=spans))
+    if rng.random() < 0.3:
+        rng.shuffle(sentences)
+
+    entities = list(phi)
+    sources = [doc_seg] + sentences
+    for _ in range(rng.randint(0, 8)):
+        text, spans = _random_cut(rng, rng.choice(sources))
+        entities.append(Entity(label="Drug", text=text, spans=spans))
+    if rng.random() < 0.3:
+        entities.append(Entity(label="Drug", text="ajout", spans=[ModifiedSpan(5)]))
+    if entities and rng.random() < 0.2:
+        entities.append(rng.choice(entities))  # the same entity twice
+    rng.shuffle(entities)
+    return sentences, entities, rng.choice(CONTEXT_RULES)
+
+
+def _rule_params(rules):
+    return {
+        "attribute_label": rules.attribute_label,
+        "cues_before": rules.cues_before,
+        "cues_after": rules.cues_after,
+        "terminators": rules.terminators,
+        "max_token_window": rules.max_token_window,
+    }
+
+
+def _context_fingerprint(entity):
+    return (
+        entity.label,
+        entity.text,
+        entity.spans,
+        entity.metadata,
+        [(a.label, a.value) for a in entity.attributes],
+    )
+
+
+def _holds(sentence, entity):
+    try:
+        frozen_local_range(sentence, entity, frozen_original_index_per_char(sentence))
+    except ScopeError:
+        return False
+    return True
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_detect_context_op_matches_frozen_op(seed):
+    sentences, entities, rules = context_case(seed)
+    before = [_context_fingerprint(e) for e in entities]
+    params = _rule_params(rules)
+    got = default_registry().get("detect_context").factory(params)(sentences, entities)
+    expected = frozen_detect_context_factory(params)(sentences, entities)
+    assert [_context_fingerprint(e) for e in got] == [
+        _context_fingerprint(e) for e in expected
+    ]
+    assert [_context_fingerprint(e) for e in entities] == before
+    assert not {e.id for e in got} & {e.id for e in entities}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_detect_context_runs_once_per_sentence_holding_entities(seed):
+    sentences, entities, rules = context_case(seed)
+    calls = []
+
+    def counting(sentence, held, rules):
+        calls.append(sentence)
+        return detect_context(sentence, held, rules)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ops, "detect_context", counting)
+        default_registry().get("detect_context").factory(_rule_params(rules))(
+            sentences, entities
+        )
+    holding = [s for s in sentences if any(_holds(s, e) for e in entities)]
+    assert calls == holding
+
+
+@pytest.mark.parametrize("rules", CONTEXT_RULES)
+def test_detect_context_matches_frozen_on_every_cut(rules):
+    # Every entity range of a short sentence, including ones that start or
+    # end on a space, next to a cue or inside a placeholder.
+    sentence, _ = deidentify(
+        seg_of("pas de aspirine de de sans 12/03/2021 , mère fièvre possible ni"),
+        [DeidRule(r"\d{2}/\d{2}/\d{4}", "[DATE]")],
+    )
+    n = len(sentence.text)
+    for start in range(n + 1):
+        for end in range(start, n + 1):
+            text, spans = extract(sentence.text, sentence.spans, [(start, end)])
+            entity = Entity(label="Drug", text=text, spans=spans)
+            try:
+                expected = frozen_detect_context(sentence, [entity], rules)
+            except ScopeError:
+                with pytest.raises(ScopeError):
+                    detect_context(sentence, [entity], rules)
+                continue
+            got = detect_context(sentence, [entity], rules)
+            assert [(i, a.label, a.value) for i, a in got] == [
+                (i, a.label, a.value) for i, a in expected
+            ]
+
+
+def test_detect_context_op_on_empty_inputs():
+    op = default_registry().get("detect_context").factory(
+        _rule_params(DEFAULT_NEGATION_RULES)
+    )
+    sentences = split_sentences(seg_of("pas d'aspirine."))
+    entity = Entity(label="Drug", text="aspirine", spans=[Span(6, 14)])
+    assert op([], []) == []
+    assert op(sentences, []) == []
+    (out,) = op([], [entity])
+    assert _context_fingerprint(out) == _context_fingerprint(entity)
