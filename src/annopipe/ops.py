@@ -18,7 +18,6 @@ from .textops import (
     RegexRule,
     deidentify,
     detect_context,
-    entities_by_sentence,
     load_dictionary,
     match_dates,
     match_prepared,
@@ -26,6 +25,7 @@ from .textops import (
     prepare_dictionary,
     split_sentences,
 )
+from .textops.context import _entities_by_sentence
 
 
 def _to_segment_factory(params):
@@ -96,7 +96,7 @@ def _detect_context_factory(params):
         # that holds them, in sentence order; the inputs stay untouched, so
         # provenance can derive one from the other.
         added = {e.id: [] for e in entities}
-        for sentence, held in zip(sentences, entities_by_sentence(sentences, entities)):
+        for sentence, held in zip(sentences, _entities_by_sentence(sentences, entities)):
             if held:
                 for entity_id, attribute in detect_context(sentence, held, rules):
                     added[entity_id].append(attribute)

@@ -4,7 +4,6 @@ from .context import (
     DEFAULT_NEGATION_RULES,
     ContextRuleSet,
     detect_context,
-    entities_by_sentence,
 )
 from .dates import match_dates
 from .deid import DeidRule, deidentify
@@ -36,7 +35,6 @@ __all__ = [
     "match_dates",
     "ContextRuleSet",
     "detect_context",
-    "entities_by_sentence",
     "DEFAULT_NEGATION_RULES",
     "DEFAULT_HYPOTHESIS_RULES",
     "DEFAULT_FAMILY_RULES",

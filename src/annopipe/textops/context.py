@@ -30,13 +30,6 @@ class ContextRuleSet:
             raise ValueError("at least one cue list must be non-empty")
         if self.max_token_window < 1:
             raise ValueError("max_token_window must be positive")
-        self._cues_before = _compiled(self.cues_before)
-        self._cues_after = _compiled(self.cues_after)
-        self._terminators = _compiled(self.terminators)
-
-
-def _compiled(patterns: list[str]) -> list[re.Pattern]:
-    return [re.compile(p, re.IGNORECASE) for p in patterns]
 
 
 _NEGATION_CUES = [
@@ -95,7 +88,7 @@ def _covers(cover: list[Span], ranges: list[Span]) -> bool:
     return True
 
 
-def entities_by_sentence(
+def _entities_by_sentence(
     sentences: list[Segment], entities: list[Entity]
 ) -> list[list[Entity]]:
     """For each sentence, the entities it holds, in input order.
@@ -157,8 +150,8 @@ def detect_context(
     """(entity_id, attribute) pairs; one attribute per entity, True or False.
 
     Cues, terminators and tokens are scanned once per call, so evaluate all
-    the entities of a sentence together (see entities_by_sentence). Raises
-    ScopeError when an entity is not wholly inside the sentence.
+    the entities of a sentence together, as the detect_context operation
+    does. Raises ScopeError when an entity is not wholly inside the sentence.
     """
     text = sentence.text
     offsets = accumulate((s.length for s in sentence.spans), initial=0)
@@ -171,9 +164,15 @@ def detect_context(
     tokens = [m.span() for m in re.finditer(r"\S+", text)]
     token_starts = [start for start, _ in tokens]
     token_ends = [end for _, end in tokens]
-    cues_before = [m.span() for cue in rules._cues_before for m in cue.finditer(text)]
-    cues_after = [m.span() for cue in rules._cues_after for m in cue.finditer(text)]
-    terminators = [m.span() for t in rules._terminators for m in t.finditer(text)]
+    cues_before = [
+        m.span() for cue in rules.cues_before for m in re.finditer(cue, text, re.IGNORECASE)
+    ]
+    cues_after = [
+        m.span() for cue in rules.cues_after for m in re.finditer(cue, text, re.IGNORECASE)
+    ]
+    terminators = [
+        m.span() for t in rules.terminators for m in re.finditer(t, text, re.IGNORECASE)
+    ]
 
     def gap_blocked(lo: int, hi: int) -> bool:
         return any(lo <= t_start and t_end <= hi for t_start, t_end in terminators)

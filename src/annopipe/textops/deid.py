@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass
 
 from ..core import Entity, Segment
-from ..spans import extract_each, replace
+from ..spans import extract, replace
 
 
 @dataclass
@@ -49,13 +49,12 @@ def deidentify(seg: Segment, rules: list[DeidRule]) -> tuple[Segment, list[Entit
             selected.append((start, end, rule))
             last_end = end
 
+    entities = []
+    for start, end, rule in selected:
+        ent_text, ent_spans = extract(seg.text, seg.spans, [(start, end)])
+        entities.append(Entity(label=rule.label, text=ent_text, spans=ent_spans))
+
     ranges = [(s, e) for s, e, _ in selected]
-    entities = [
-        Entity(label=rule.label, text=ent_text, spans=ent_spans)
-        for (_, _, rule), (ent_text, ent_spans) in zip(
-            selected, extract_each(seg.text, seg.spans, ranges)
-        )
-    ]
     placeholders = [rule.placeholder for _, _, rule in selected]
     new_text, new_spans = replace(seg.text, seg.spans, ranges, placeholders)
     new_seg = Segment(
