@@ -156,8 +156,11 @@ def extract_each(
     """Cut each range out on its own: item i is `extract(text, spans, [ranges[i]])`.
 
     The ranges may come in any order and overlap. The chain's offsets are
-    computed once for all of them.
+    computed once for all of them, and not at all when there are none, as
+    for most segments a matcher scans.
     """
+    if not ranges:
+        return []
     offsets = _offsets(spans)
     out = []
     for start, end in ranges:
