@@ -13,10 +13,8 @@ from .core import (
     Entity,
     Relation,
     Segment,
-    attach_annotation,
     create_document,
     full_text_segment,
-    get_annotations,
 )
 from .evaluation import MatchSpec, Metrics, align_entities, compare_runs, evaluate, score
 from .pipeline import (
@@ -24,6 +22,7 @@ from .pipeline import (
     PipelineSpec,
     PipelineStep,
     as_operation,
+    compile_pipeline,
     default_registry,
     register_operation,
     run_pipeline,
@@ -34,7 +33,6 @@ from .provenance import (
     ProvGraph,
     Tracer,
     VerbosityLevel,
-    begin_trace,
     build_graph,
     export_prov,
     parse_prov_json,
@@ -62,8 +60,6 @@ __all__ = [
     "Relation",
     "Attribute",
     "create_document",
-    "attach_annotation",
-    "get_annotations",
     "full_text_segment",
     "Span",
     "ModifiedSpan",
@@ -79,7 +75,6 @@ __all__ = [
     "Tracer",
     "VerbosityLevel",
     "ProvGraph",
-    "begin_trace",
     "build_graph",
     "export_prov",
     "parse_prov_json",
@@ -89,6 +84,7 @@ __all__ = [
     "default_registry",
     "register_operation",
     "as_operation",
+    "compile_pipeline",
     "validate_pipeline",
     "run_pipeline",
     "MatchSpec",

@@ -27,24 +27,25 @@ from .io.brat import emit_brat, parse_brat
 from .io.doccano import emit_doccano_jsonl, parse_doccano_jsonl
 from .io.docjson import parse_document_json, serialize_document_json
 from .io.textdir import load_text_documents
-from .pipeline import PipelineSpec, default_registry, run_pipeline, validate_pipeline
+from .pipeline import Plan, PipelineSpec, compile_pipeline, run_pipeline
 from .provenance import Tracer, VerbosityLevel, build_graph, export_prov, parse_prov_json
 
 OUTPUT_EXTENSIONS = {"brat": ".ann", "doccano": ".jsonl", "json": ".json"}
 
 
-def _load_pipeline(path: str) -> PipelineSpec:
+def _load_pipeline(path: str) -> Plan:
+    """Read a pipeline config taking one document, and compile it."""
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read pipeline {path}: {exc}") from exc
     spec = PipelineSpec.from_dict(obj)
-    issues = validate_pipeline(spec, default_registry())
-    if issues:
+    if len(spec.pipeline_inputs) != 1:
         raise ConfigError(
-            "invalid pipeline: " + "; ".join(i.reason for i in issues)
+            f"pipeline {spec.name!r} must declare exactly one input, "
+            f"not {len(spec.pipeline_inputs)}"
         )
-    return spec
+    return compile_pipeline(spec)
 
 
 def _collect_annotations(outputs: dict) -> tuple[list[Annotation], list[str]]:
@@ -78,7 +79,7 @@ def _emit(doc: Document, annotations: list[Annotation], emitted: list[str], fmt:
 
 def cmd_run(args) -> int:
     try:
-        spec = _load_pipeline(args.pipeline)
+        plan = _load_pipeline(args.pipeline)
         level = VerbosityLevel.parse(args.prov_level)
         if args.workers < 1:
             raise ConfigError("workers must be >= 1")
@@ -94,11 +95,11 @@ def cmd_run(args) -> int:
         print(f"error: unknown output format {args.output_format!r}", file=sys.stderr)
         return 2
 
-    input_key = spec.pipeline_inputs[0] if spec.pipeline_inputs else "doc"
+    input_key = plan.spec.pipeline_inputs[0]
 
     def process(doc: Document):
         tracer = Tracer(level)
-        outputs = run_pipeline(spec, {input_key: doc}, tracer, default_registry())
+        outputs = run_pipeline(plan, {input_key: doc}, tracer)
         annotations, emitted = _collect_annotations(outputs)
         return doc, tracer, _emit(doc, annotations, emitted, args.output_format)
 

@@ -140,14 +140,6 @@ def create_document(text: str, metadata: Optional[dict] = None) -> Document:
     return Document(text=text, metadata=dict(metadata or {}))
 
 
-def attach_annotation(doc: Document, ann: Annotation) -> Document:
-    return doc.attach(ann)
-
-
-def get_annotations(doc: Document, label: Optional[str] = None) -> list[Annotation]:
-    return doc.get_annotations(label)
-
-
 def full_text_segment(doc: Document, label: str = "full_text") -> Segment:
     """A segment covering the whole raw text, the entry point of pipelines."""
     spans: list[AnySpan] = [Span(0, len(doc.text))] if doc.text else []

@@ -1,8 +1,10 @@
 """Declarative pipelines: named operations chained through data slots.
 
-A pipeline spec is an ordered list of steps wired by input/output keys; a
-validated spec can itself be registered as an operation and nested inside
-another pipeline, appearing as one composite activity in provenance.
+A pipeline spec is an ordered list of steps wired by input/output keys.
+``compile_pipeline`` validates a spec once and binds each step's operation
+once, giving a ``Plan`` that runs over any number of inputs. A spec can
+itself be registered as an operation and nested inside another pipeline,
+appearing as one composite activity in provenance.
 
 Data slots hold a single value or a homogeneous list. Operations registered
 in "item" mode are mapped over list slots (list results are concatenated);
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 import uuid
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .exceptions import (
     ConfigError,
@@ -88,7 +90,7 @@ class _Registered:
     n_inputs: int
     n_outputs: int
     mode: str  # "item" or "batch"
-    nested_spec: Optional[PipelineSpec] = None
+    plan: Optional["Plan"] = None  # set for a registered sub-pipeline
 
 
 class OperationRegistry:
@@ -112,17 +114,12 @@ class OperationRegistry:
         self._ops[name] = _Registered(factory, n_inputs, n_outputs, mode)
 
     def register_pipeline(self, spec: PipelineSpec) -> None:
-        issues = validate_pipeline(spec, self)
-        if issues:
-            raise ConfigError(
-                "invalid pipeline: " + "; ".join(i.reason for i in issues)
-            )
         reg = _Registered(
             factory=None,
             n_inputs=len(spec.pipeline_inputs),
             n_outputs=len(spec.pipeline_outputs),
             mode="batch",
-            nested_spec=spec,
+            plan=compile_pipeline(spec, self),
         )
         if spec.name in self._ops:
             raise DuplicateNameError(f"operation {spec.name!r} already registered")
@@ -208,29 +205,6 @@ def validate_pipeline(
     for key in spec.pipeline_outputs:
         if key not in available:
             issues.append(ValidationIssue(None, f"pipeline output {key!r} never produced"))
-    issues.extend(_check_nesting_cycles(spec, registry))
-    return issues
-
-
-def _check_nesting_cycles(
-    spec: PipelineSpec, registry: OperationRegistry, stack: Optional[tuple] = None
-) -> list[ValidationIssue]:
-    stack = stack or (spec.name,)
-    issues = []
-    for index, step in enumerate(spec.steps):
-        registered = registry.get(step.op_name)
-        if registered is None or registered.nested_spec is None:
-            continue
-        if step.op_name in stack:
-            issues.append(
-                ValidationIssue(index, f"pipeline nesting cycle through {step.op_name!r}")
-            )
-            continue
-        issues.extend(
-            _check_nesting_cycles(
-                registered.nested_spec, registry, stack + (step.op_name,)
-            )
-        )
     return issues
 
 
@@ -244,9 +218,48 @@ def _item_ids(value) -> list[str]:
     return ids
 
 
-def _run_mapped(registered: _Registered, params: dict, args: list):
+class _BoundStep(NamedTuple):
+    step: PipelineStep
+    registered: _Registered
+    op: Optional[Callable]  # None for a sub-pipeline, which runs its own plan
+
+
+@dataclass(frozen=True)
+class Plan:
+    """A validated pipeline whose operations are bound, ready to run."""
+
+    spec: PipelineSpec
+    steps: tuple[_BoundStep, ...]
+
+
+def compile_pipeline(
+    spec: PipelineSpec, registry: Optional[OperationRegistry] = None
+) -> Plan:
+    """Validate a spec and call each step's factory, once.
+
+    A sub-pipeline step reuses the plan compiled when it was registered.
+    Raises ConfigError for an invalid spec and StepFailureError when a
+    factory fails.
+    """
+    registry = registry or _default_registry
+    issues = validate_pipeline(spec, registry)
+    if issues:
+        raise ConfigError("invalid pipeline: " + "; ".join(i.reason for i in issues))
+    steps = []
+    for index, step in enumerate(spec.steps):
+        registered = registry.get(step.op_name)
+        op = None
+        if registered.plan is None:
+            try:
+                op = registered.factory(step.params)
+            except Exception as exc:
+                raise StepFailureError(index, step.op_name, exc) from exc
+        steps.append(_BoundStep(step, registered, op))
+    return Plan(spec, tuple(steps))
+
+
+def _run_mapped(registered: _Registered, op: Callable, args: list):
     """Execute an operation, mapping item-mode operations over list slots."""
-    op = registered.factory(params)
     if registered.mode == "batch" or not any(isinstance(a, list) for a in args):
         return op(*args)
 
@@ -273,32 +286,43 @@ def _combine(results: list):
 
 
 def run_pipeline(
-    spec: PipelineSpec,
+    pipeline: PipelineSpec | Plan,
     inputs: dict,
     tracer: Optional[Tracer] = None,
     registry: Optional[OperationRegistry] = None,
-    _scope: Optional[str] = None,
 ) -> dict:
-    """Execute a validated pipeline over the given input slots."""
-    registry = registry or _default_registry
-    issues = validate_pipeline(spec, registry)
-    if issues:
-        raise ConfigError("invalid pipeline: " + "; ".join(i.reason for i in issues))
-    for key in spec.pipeline_inputs:
+    """Execute a plan over the given input slots.
+
+    A spec is compiled against ``registry`` first; to run one pipeline over
+    many inputs, compile it once with ``compile_pipeline`` and pass the plan.
+    """
+    plan = pipeline if isinstance(pipeline, Plan) else compile_pipeline(pipeline, registry)
+    return _execute(plan, inputs, tracer, None)
+
+
+def _execute(plan: Plan, inputs: dict, tracer: Optional[Tracer], scope: Optional[str]) -> dict:
+    """Run a plan's steps; a sub-pipeline step runs its plan in a tracer scope."""
+    for key in plan.spec.pipeline_inputs:
         if key not in inputs:
             raise MissingInputError(f"missing pipeline input {key!r}")
 
     env = dict(inputs)
-    for index, step in enumerate(spec.steps):
-        registered = registry.get(step.op_name)
+    for index, (step, registered, op) in enumerate(plan.steps):
         args = [env[k] for k in step.input_keys]
         try:
-            if registered.nested_spec is not None:
-                outputs = _run_nested(
-                    registered.nested_spec, step, args, tracer, registry, _scope
-                )
+            if registered.plan is not None:
+                sub = registered.plan
+                sub_scope = None
+                if tracer is not None and tracer.level != VerbosityLevel.NONE:
+                    sub_scope = tracer.open_scope(
+                        OperationDescriptor(name=sub.spec.name, config=step.params),
+                        parent=scope,
+                    )
+                sub_inputs = dict(zip(sub.spec.pipeline_inputs, args))
+                result = _execute(sub, sub_inputs, tracer, sub_scope)
+                outputs = tuple(result[k] for k in sub.spec.pipeline_outputs)
             else:
-                result = _run_mapped(registered, step.params, args)
+                result = _run_mapped(registered, op, args)
                 outputs = result if registered.n_outputs > 1 else (result,)
                 if tracer is not None:
                     source_ids = [i for a in args for i in _item_ids(a)]
@@ -307,7 +331,7 @@ def run_pipeline(
                         OperationDescriptor(name=step.op_name, config=step.params),
                         sources=source_ids,
                         outputs=output_ids or [str(uuid.uuid4())],
-                        scope=_scope,
+                        scope=scope,
                     )
         except StepFailureError:
             raise
@@ -315,16 +339,4 @@ def run_pipeline(
             raise StepFailureError(index, step.op_name, exc) from exc
         for key, value in zip(step.output_keys, outputs):
             env[key] = value
-    return {key: env[key] for key in spec.pipeline_outputs}
-
-
-def _run_nested(nested, step, args, tracer, registry, parent_scope):
-    scope = None
-    if tracer is not None and tracer.level != VerbosityLevel.NONE:
-        scope = tracer.open_scope(
-            OperationDescriptor(name=nested.name, config=step.params),
-            parent=parent_scope,
-        )
-    nested_inputs = dict(zip(nested.pipeline_inputs, args))
-    result = run_pipeline(nested, nested_inputs, tracer, registry, _scope=scope)
-    return tuple(result[k] for k in nested.pipeline_outputs)
+    return {key: env[key] for key in plan.spec.pipeline_outputs}

@@ -369,7 +369,3 @@ def export_prov(graph: ProvGraph, format: str = "prov-json") -> str:
 def parse_prov_json(text: str) -> ProvGraph:
     """Inverse of export_prov(graph, 'prov-json')."""
     return _graph_from_dict(json.loads(text))
-
-
-def begin_trace(level: VerbosityLevel = VerbosityLevel.FULL) -> Tracer:
-    return Tracer(level)

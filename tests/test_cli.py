@@ -4,11 +4,11 @@ from pathlib import Path
 
 import pytest
 
-from annopipe import demo
+from annopipe import demo, ops
 from annopipe.cli import main
 from annopipe.io.textdir import load_text_documents
 from annopipe.pipeline import PipelineSpec, run_pipeline
-from annopipe.textops import DEFAULT_NEGATION_RULES
+from annopipe.textops import DEFAULT_NEGATION_RULES, load_dictionary
 
 FIXTURES = Path(__file__).parent / "fixtures" / "brat"
 
@@ -85,7 +85,7 @@ class TestRun:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
-    def test_failing_document_exits_1(self, tmp_path, capsys):
+    def test_undecodable_file_exits_2(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
         corpus.mkdir()
         (corpus / "ok.txt").write_text("aspirine.", encoding="utf-8")
@@ -98,6 +98,51 @@ class TestRun:
         )
         # The whole corpus fails to load: decoding is a config-stage error.
         assert code == 2
+
+    def test_pipeline_without_exactly_one_input_exits_2(self, tmp_path, corpus, capsys):
+        spec = json.loads(demo.pipeline_path("drug_ner_dict").read_text(encoding="utf-8"))
+        spec["inputs"].append("extra")
+        pipeline = tmp_path / "two_inputs.json"
+        pipeline.write_text(json.dumps(spec), encoding="utf-8")
+        code = run_cli(
+            "run",
+            "--pipeline", pipeline,
+            "--input-dir", corpus,
+            "--output-dir", tmp_path / "out",
+        )
+        assert code == 2
+        assert "exactly one input" in capsys.readouterr().err
+        assert not list((tmp_path / "out").glob("*.ann"))
+
+    def test_factory_error_exits_2_before_any_document(self, tmp_path, corpus, capsys):
+        pipeline = tmp_path / "bad_regex.json"
+        pipeline.write_text(
+            json.dumps(
+                {
+                    "name": "bad_regex",
+                    "inputs": ["doc"],
+                    "outputs": ["drugs"],
+                    "steps": [
+                        _step("to_segment", ["doc"], ["full_text"]),
+                        _step(
+                            "match_regex", ["full_text"], ["drugs"],
+                            {"rules": [{"pattern": "(", "label": "Drug"}]},
+                        ),
+                    ],
+                }
+            ),
+            encoding="utf-8",
+        )
+        code = run_cli(
+            "run",
+            "--pipeline", pipeline,
+            "--input-dir", corpus,
+            "--output-dir", tmp_path / "out",
+        )
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: step 1 (match_regex) failed:")
+        assert not list((tmp_path / "out").glob("*.ann"))
 
     def test_unknown_subcommand_exits_2(self, capsys):
         assert run_cli("frobnicate") == 2
@@ -166,6 +211,52 @@ def test_detect_context_pipeline_runs_at_every_prov_level(tmp_path, corpus, leve
     }
     assert got == expected
     assert any(expected.values())
+
+
+def test_run_loads_a_path_dictionary_once(tmp_path, corpus, monkeypatch):
+    loaded = []
+
+    def counting_load(path):
+        loaded.append(path)
+        return load_dictionary(path)
+
+    monkeypatch.setattr(ops, "load_dictionary", counting_load)
+    pipeline = tmp_path / "context.json"
+    pipeline.write_text(json.dumps(CONTEXT_PIPELINE), encoding="utf-8")
+    code = run_cli(
+        "run",
+        "--pipeline", pipeline,
+        "--input-dir", corpus,
+        "--output-dir", tmp_path / "out",
+        "--workers", 2,
+    )
+    assert code == 0
+    assert len(list((tmp_path / "out").glob("*.ann"))) == len(list(corpus.glob("*.txt"))) > 1
+    assert loaded == [str(demo.dictionary_path())]
+
+
+def test_document_failing_at_run_time_fails_alone(tmp_path, capsys):
+    # A cue pattern is compiled on first use, so every document holding an
+    # entity fails at the detect_context step while the run goes on.
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "a.txt").write_text("Pas d'aspirine ce jour.", encoding="utf-8")
+    (corpus / "b.txt").write_text("Prise de paracétamol.", encoding="utf-8")
+    spec = json.loads(json.dumps(CONTEXT_PIPELINE))
+    spec["steps"][4]["params"]["cues_before"] = ["("]
+    pipeline = tmp_path / "bad_cue.json"
+    pipeline.write_text(json.dumps(spec), encoding="utf-8")
+    code = run_cli(
+        "run",
+        "--pipeline", pipeline,
+        "--input-dir", corpus,
+        "--output-dir", tmp_path / "out",
+    )
+    assert code == 1
+    failed = [line for line in capsys.readouterr().err.splitlines() if line.startswith("failed:")]
+    assert len(failed) == 2
+    for name, line in zip(["a.txt", "b.txt"], sorted(failed)):
+        assert line.startswith(f"failed: {name}: step 4 (detect_context)")
 
 
 class TestConvert:

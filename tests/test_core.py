@@ -7,10 +7,8 @@ from annopipe.core import (
     Entity,
     Relation,
     Segment,
-    attach_annotation,
     create_document,
     full_text_segment,
-    get_annotations,
 )
 from annopipe.exceptions import DuplicateIdError, OutOfBoundsError
 from annopipe.spans import ModifiedSpan, Span
@@ -78,7 +76,7 @@ class TestDocument:
         doc = create_document("Hello world")
         doc.attach(Entity(label="A", text="Hello", spans=[Span(0, 5)]))
         doc.attach(Entity(label="B", text="world", spans=[Span(6, 11)]))
-        assert [a.text for a in get_annotations(doc, "B")] == ["world"]
+        assert [a.text for a in doc.get_annotations("B")] == ["world"]
 
     def test_duplicate_id_rejected(self):
         doc = create_document("Hello")
@@ -90,7 +88,7 @@ class TestDocument:
     def test_out_of_bounds_segment_rejected(self):
         doc = create_document("ab")
         with pytest.raises(OutOfBoundsError):
-            attach_annotation(doc, Entity(label="A", text="abc", spans=[Span(0, 3)]))
+            doc.attach(Entity(label="A", text="abc", spans=[Span(0, 3)]))
 
     def test_get_annotation_by_id(self):
         doc = create_document("ab")

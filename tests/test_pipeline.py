@@ -11,6 +11,7 @@ from annopipe.pipeline import (
     PipelineSpec,
     PipelineStep,
     as_operation,
+    compile_pipeline,
     run_pipeline,
     validate_pipeline,
 )
@@ -44,6 +45,14 @@ def make_registry():
         "item",
     )
     return reg
+
+
+def counting_registry():
+    """make_registry plus "inc", whose factory logs the params it binds."""
+    reg = make_registry()
+    bound = []
+    reg.register("inc", lambda params: bound.append(params) or (lambda x: x + 1))
+    return reg, bound
 
 
 def spec_of(steps, inputs=("x",), outputs=("y",), name="test"):
@@ -168,6 +177,36 @@ class TestExecution:
             run_pipeline(spec, {"a": [1, 2], "b": [1]}, registry=reg)
 
 
+class TestCompile:
+    def test_factories_run_once_per_compile(self):
+        reg, bound = counting_registry()
+        spec = spec_of(
+            [
+                PipelineStep("inc", {"k": 1}, ["x"], ["a"]),
+                PipelineStep("inc", {"k": 2}, ["a"], ["y"]),
+            ]
+        )
+        plan = compile_pipeline(spec, reg)
+        assert bound == [{"k": 1}, {"k": 2}]
+        results = [run_pipeline(plan, {"x": x})["y"] for x in (0, 5, [1, 2])]
+        assert results == [2, 7, [3, 4]]
+        assert len(bound) == 2
+
+    def test_factory_error_fails_the_compile(self):
+        reg = make_registry()
+        reg.register("needs_k", lambda params: params["k"])
+        spec = spec_of(
+            [
+                PipelineStep("double", {}, ["x"], ["d"]),
+                PipelineStep("needs_k", {}, ["d"], ["y"]),
+            ]
+        )
+        with pytest.raises(StepFailureError) as err:
+            compile_pipeline(spec, reg)
+        assert (err.value.step_index, err.value.op_name) == (1, "needs_k")
+        assert isinstance(err.value.cause, KeyError)
+
+
 class TestNesting:
     def _nested_setup(self):
         reg = make_registry()
@@ -223,6 +262,33 @@ class TestNesting:
         assert len(graph.sub_graphs) == 1
         sub = next(iter(graph.sub_graphs.values()))
         assert [a.name for a in sub.activities.values()] == ["double", "double"]
+
+    def test_sub_pipeline_binds_once_at_registration(self):
+        reg, bound = counting_registry()
+        as_operation(spec_of([PipelineStep("inc", {}, ["x"], ["y"])], name="inc1"), reg)
+        assert len(bound) == 1
+        outer = spec_of(
+            [
+                PipelineStep("inc1", {}, ["x"], ["a"]),
+                PipelineStep("inc1", {}, ["a"], ["y"]),
+            ],
+            name="outer",
+        )
+        plan = compile_pipeline(outer, reg)
+        assert [run_pipeline(plan, {"x": x})["y"] for x in (0, 3)] == [2, 5]
+        assert len(bound) == 1
+
+    def test_spec_may_share_its_name_with_a_sub_pipeline(self):
+        reg, _ = self._nested_setup()
+        same_name = spec_of([PipelineStep("quadruple", {}, ["x"], ["y"])], name="quadruple")
+        assert run_pipeline(same_name, {"x": 2}, registry=reg) == {"y": 8}
+
+    def test_self_referencing_sub_pipeline_rejected(self):
+        reg = make_registry()
+        loop = spec_of([PipelineStep("loop", {}, ["x"], ["y"])], name="loop")
+        with pytest.raises(ConfigError):
+            as_operation(loop, reg)
+        assert reg.get("loop") is None
 
     def test_duplicate_registration_rejected(self):
         reg, outer = self._nested_setup()

@@ -8,7 +8,6 @@ from annopipe.provenance import (
     ProvGraph,
     Tracer,
     VerbosityLevel,
-    begin_trace,
     build_graph,
     export_prov,
     parse_prov_json,
@@ -21,7 +20,7 @@ def _op(name):
 
 class TestTracer:
     def test_records_flat_view(self):
-        tracer = begin_trace()
+        tracer = Tracer()
         op = _op("split")
         tracer.record(op, ["doc"], ["s1", "s2"])
         recs = tracer.records
@@ -37,13 +36,13 @@ class TestTracer:
         assert tracer.records == []
 
     def test_self_derivation_rejected(self):
-        tracer = begin_trace()
+        tracer = Tracer()
         with pytest.raises(SelfDerivationError):
             tracer.record(_op("x"), ["a"], ["a"])
 
     def test_requires_outputs(self):
         with pytest.raises(ValueError):
-            begin_trace().record(_op("x"), ["a"], [])
+            Tracer().record(_op("x"), ["a"], [])
 
     def test_verbosity_parse(self):
         assert VerbosityLevel.parse("steps") is VerbosityLevel.STEPS
@@ -52,7 +51,7 @@ class TestTracer:
 
 class TestBuildGraph:
     def test_flat_chain(self):
-        tracer = begin_trace()
+        tracer = Tracer()
         tracer.record(_op("a"), ["doc"], ["seg"])
         tracer.record(_op("b"), ["seg"], ["ent"])
         graph = build_graph(tracer)
@@ -65,7 +64,7 @@ class TestBuildGraph:
         assert informed == [("b", "a")]
 
     def test_each_output_generated_once(self):
-        tracer = begin_trace()
+        tracer = Tracer()
         tracer.record(_op("a"), ["doc"], ["s1", "s2"])
         tracer.record(_op("b"), ["s1"], ["e1"])
         graph = build_graph(tracer)
@@ -176,7 +175,7 @@ class TestExport:
 
 class TestMerge:
     def test_merged_tracers_keep_all_records(self):
-        a, b = begin_trace(), begin_trace()
+        a, b = Tracer(), Tracer()
         a.record(_op("x"), ["d1"], ["o1"])
         b.record(_op("x"), ["d2"], ["o2"])
         a.merge(b)
