@@ -333,8 +333,6 @@ def _execute(plan: Plan, inputs: dict, tracer: Optional[Tracer], scope: Optional
                         outputs=output_ids or [str(uuid.uuid4())],
                         scope=scope,
                     )
-        except StepFailureError:
-            raise
         except Exception as exc:
             raise StepFailureError(index, step.op_name, exc) from exc
         for key, value in zip(step.output_keys, outputs):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import json
 import uuid
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -87,6 +88,8 @@ class Tracer:
         for out in outputs:
             if out in source_set:
                 raise SelfDerivationError(f"{out} listed as both source and output")
+        if scope is not None and scope not in self._scopes:
+            raise ValueError(f"record names unknown scope {scope!r}")
         if self.level == VerbosityLevel.NONE:
             return
         self._records.append(_Record(op, list(sources), list(outputs), scope))
@@ -95,6 +98,8 @@ class Tracer:
         self, op: OperationDescriptor, parent: Optional[str] = None
     ) -> str:
         """Declare a composite activity (nested pipeline); returns its scope id."""
+        if parent is not None and parent not in self._scopes:
+            raise ValueError(f"open_scope names unknown parent scope {parent!r}")
         scope_id = str(uuid.uuid4())
         self._scopes[scope_id] = _Scope(scope_id, op, parent)
         return scope_id
@@ -165,28 +170,6 @@ class ProvGraph:
             sub.check_acyclic()
 
 
-def _descendant_scopes(tracer: Tracer, root: str) -> set:
-    out = {root}
-    changed = True
-    while changed:
-        changed = False
-        for scope in tracer._scopes.values():
-            if scope.parent in out and scope.id not in out:
-                out.add(scope.id)
-                changed = True
-    return out
-
-
-def _dedupe(items):
-    seen = set()
-    out = []
-    for item in items:
-        if item not in seen:
-            seen.add(item)
-            out.append(item)
-    return out
-
-
 def _add_activity_edges(graph: ProvGraph, act_id: str, sources, outputs) -> None:
     graph.entities.update(sources)
     graph.entities.update(outputs)
@@ -198,70 +181,65 @@ def _add_activity_edges(graph: ProvGraph, act_id: str, sources, outputs) -> None
             graph.was_derived_from.append((out, src))
 
 
-def _build_level(tracer: Tracer, scope_id: Optional[str]) -> ProvGraph:
+def _build_level(
+    tracer: Tracer, scope_id: Optional[str], records: list, mentions: Counter
+) -> ProvGraph:
+    """Graph of ``records`` (all within ``scope_id``) seen from that scope.
+
+    Records of the scope itself become activities; records of a nested scope
+    group under the child of ``scope_id`` they descend from, which becomes one
+    composite activity placed where its first record was. ``mentions`` counts
+    the records of the whole trace that name each item.
+    """
     graph = ProvGraph()
-    direct = [rec for rec in tracer._records if rec.scope == scope_id]
-    children = [s for s in tracer._scopes.values() if s.parent == scope_id]
-
-    positions = {id(rec): i for i, rec in enumerate(tracer._records)}
-    events = []  # (position in trace, kind, payload) to keep trace order
-    for rec in direct:
-        events.append((positions[id(rec)], "record", rec))
-    for child in children:
-        member_scopes = _descendant_scopes(tracer, child.id)
-        group = [r for r in tracer._records if r.scope in member_scopes]
-        if not group:
+    units: dict = {}  # trace position -> record, child scope id -> its records
+    for position, rec in enumerate(records):
+        if rec.scope == scope_id:
+            units[position] = rec
             continue
-        first = min(positions[id(r)] for r in group)
-        events.append((first, "composite", (child, group)))
-    events.sort(key=lambda e: e[0])
+        child = rec.scope
+        while tracer._scopes[child].parent != scope_id:
+            child = tracer._scopes[child].parent
+        units.setdefault(child, []).append(rec)
 
-    for _, kind, payload in events:
-        if kind == "record":
-            rec = payload
+    for key, unit in units.items():
+        if isinstance(key, int):
             act_id = str(uuid.uuid4())
-            graph.activities[act_id] = Activity(act_id, rec.op.name, dict(rec.op.config))
-            _add_activity_edges(graph, act_id, _dedupe(rec.sources), _dedupe(rec.outputs))
-        else:
-            child, group = payload
-            group_set = set(id(r) for r in group)
-            generated = set()
-            consumed = set()
-            for rec in group:
-                generated.update(rec.outputs)
-                consumed.update(rec.sources)
-            referenced_outside = set()
-            for rec in tracer._records:
-                if id(rec) not in group_set:
-                    referenced_outside.update(rec.sources)
-                    referenced_outside.update(rec.outputs)
-            ext_sources = _dedupe(
-                s for rec in group for s in rec.sources if s not in generated
+            graph.activities[act_id] = Activity(act_id, unit.op.name, dict(unit.op.config))
+            _add_activity_edges(
+                graph, act_id, dict.fromkeys(unit.sources), dict.fromkeys(unit.outputs)
             )
-            exposed = _dedupe(
-                o
-                for rec in group
-                for o in rec.outputs
-                if o not in consumed or o in referenced_outside
-            )
-            act_id = child.id
-            graph.activities[act_id] = Activity(
-                act_id, child.op.name, dict(child.op.config), composite=True
-            )
-            _add_activity_edges(graph, act_id, ext_sources, exposed)
-            if tracer.level >= VerbosityLevel.FULL:
-                graph.sub_graphs[act_id] = _build_level(tracer, child.id)
+            continue
+        generated = {o for rec in unit for o in rec.outputs}
+        consumed = {s for rec in unit for s in rec.sources}
+        inside = Counter(i for rec in unit for i in set(rec.sources) | set(rec.outputs))
+        ext_sources = dict.fromkeys(
+            s for rec in unit for s in rec.sources if s not in generated
+        )
+        # An output stays visible if nothing inside consumes it or a record
+        # outside the scope names it.
+        exposed = dict.fromkeys(
+            o
+            for rec in unit
+            for o in rec.outputs
+            if o not in consumed or mentions[o] > inside[o]
+        )
+        scope = tracer._scopes[key]
+        graph.activities[key] = Activity(
+            key, scope.op.name, dict(scope.op.config), composite=True
+        )
+        _add_activity_edges(graph, key, ext_sources, exposed)
+        if tracer.level >= VerbosityLevel.FULL:
+            graph.sub_graphs[key] = _build_level(tracer, key, unit, mentions)
 
     generator = {ent: act for ent, act in graph.was_generated_by}
-    informed = []
-    for act_id in graph.activities:
-        informants = _dedupe(
-            generator[ent]
-            for a, ent in graph.used
-            if a == act_id and ent in generator and generator[ent] != act_id
-        )
-        informed.extend((act_id, informant) for informant in informants)
-    graph.was_informed_by = informed
+    used_by = {act_id: [] for act_id in graph.activities}
+    for act_id, ent in graph.used:
+        used_by[act_id].append(ent)
+    for act_id, used in used_by.items():
+        informants = dict.fromkeys(generator.get(ent, act_id) for ent in used)
+        informants.pop(act_id, None)
+        graph.was_informed_by.extend((act_id, informant) for informant in informants)
     return graph
 
 
@@ -269,7 +247,10 @@ def build_graph(tracer: Tracer) -> ProvGraph:
     """Build the PROV graph for a trace at the tracer's verbosity level."""
     if tracer.level == VerbosityLevel.NONE:
         return ProvGraph()
-    graph = _build_level(tracer, None)
+    mentions = Counter(
+        i for rec in tracer._records for i in set(rec.sources) | set(rec.outputs)
+    )
+    graph = _build_level(tracer, None, tracer._records, mentions)
     graph.check_acyclic()
     return graph
 
@@ -334,7 +315,7 @@ def _graph_from_dict(doc: dict) -> ProvGraph:
     return graph
 
 
-def _graph_to_dot(graph: ProvGraph, lines=None, prefix: str = "") -> str:
+def _graph_to_dot(graph: ProvGraph, lines=None) -> str:
     top = lines is None
     if top:
         lines = ["digraph provenance {"]
@@ -360,7 +341,7 @@ def _graph_to_dot(graph: ProvGraph, lines=None, prefix: str = "") -> str:
 
 def export_prov(graph: ProvGraph, format: str = "prov-json") -> str:
     if format == "prov-json":
-        return json.dumps(_graph_to_dict(graph), indent=2, ensure_ascii=False) + "\n"
+        return json.dumps(_graph_to_dict(graph), ensure_ascii=False) + "\n"
     if format == "dot":
         return _graph_to_dot(graph)
     raise ValueError(f"unknown provenance export format {format!r}")

@@ -7,12 +7,14 @@ import hashlib
 import random
 import re
 import unicodedata
+import uuid
 from typing import Iterable, Optional, Sequence
 
 from annopipe import spans as sp
 from annopipe.core import Attribute, Entity, Segment, new_id
 from annopipe.evaluation import MatchSpec
 from annopipe.exceptions import ArityMismatchError, InvalidRangeError, ScopeError
+from annopipe.provenance import Activity, ProvGraph, Tracer, VerbosityLevel
 from annopipe.spans import Span, normalize_spans
 from annopipe.textops import ContextRuleSet
 
@@ -589,3 +591,118 @@ def frozen_align_entities(
     unmatched_pred = [p for i, p in enumerate(pred) if i not in match_of_pred]
     unmatched_ref = [r for i, r in enumerate(ref) if i not in match_of_ref]
     return pairs, unmatched_pred, unmatched_ref
+
+
+# The provenance graph builder as first written: every composite scope
+# rescans the whole trace for its member records and for references outside
+# it. Kept verbatim as the reference the one-pass builder is compared
+# against.
+
+
+def frozen_descendant_scopes(tracer: Tracer, root: str) -> set:
+    out = {root}
+    changed = True
+    while changed:
+        changed = False
+        for scope in tracer._scopes.values():
+            if scope.parent in out and scope.id not in out:
+                out.add(scope.id)
+                changed = True
+    return out
+
+
+def frozen_dedupe(items):
+    seen = set()
+    out = []
+    for item in items:
+        if item not in seen:
+            seen.add(item)
+            out.append(item)
+    return out
+
+
+def frozen_add_activity_edges(graph: ProvGraph, act_id: str, sources, outputs) -> None:
+    graph.entities.update(sources)
+    graph.entities.update(outputs)
+    for src in sources:
+        graph.used.append((act_id, src))
+    for out in outputs:
+        graph.was_generated_by.append((out, act_id))
+        for src in sources:
+            graph.was_derived_from.append((out, src))
+
+
+def frozen_build_level(tracer: Tracer, scope_id: Optional[str]) -> ProvGraph:
+    graph = ProvGraph()
+    direct = [rec for rec in tracer._records if rec.scope == scope_id]
+    children = [s for s in tracer._scopes.values() if s.parent == scope_id]
+
+    positions = {id(rec): i for i, rec in enumerate(tracer._records)}
+    events = []  # (position in trace, kind, payload) to keep trace order
+    for rec in direct:
+        events.append((positions[id(rec)], "record", rec))
+    for child in children:
+        member_scopes = frozen_descendant_scopes(tracer, child.id)
+        group = [r for r in tracer._records if r.scope in member_scopes]
+        if not group:
+            continue
+        first = min(positions[id(r)] for r in group)
+        events.append((first, "composite", (child, group)))
+    events.sort(key=lambda e: e[0])
+
+    for _, kind, payload in events:
+        if kind == "record":
+            rec = payload
+            act_id = str(uuid.uuid4())
+            graph.activities[act_id] = Activity(act_id, rec.op.name, dict(rec.op.config))
+            frozen_add_activity_edges(graph, act_id, frozen_dedupe(rec.sources), frozen_dedupe(rec.outputs))
+        else:
+            child, group = payload
+            group_set = set(id(r) for r in group)
+            generated = set()
+            consumed = set()
+            for rec in group:
+                generated.update(rec.outputs)
+                consumed.update(rec.sources)
+            referenced_outside = set()
+            for rec in tracer._records:
+                if id(rec) not in group_set:
+                    referenced_outside.update(rec.sources)
+                    referenced_outside.update(rec.outputs)
+            ext_sources = frozen_dedupe(
+                s for rec in group for s in rec.sources if s not in generated
+            )
+            exposed = frozen_dedupe(
+                o
+                for rec in group
+                for o in rec.outputs
+                if o not in consumed or o in referenced_outside
+            )
+            act_id = child.id
+            graph.activities[act_id] = Activity(
+                act_id, child.op.name, dict(child.op.config), composite=True
+            )
+            frozen_add_activity_edges(graph, act_id, ext_sources, exposed)
+            if tracer.level >= VerbosityLevel.FULL:
+                graph.sub_graphs[act_id] = frozen_build_level(tracer, child.id)
+
+    generator = {ent: act for ent, act in graph.was_generated_by}
+    informed = []
+    for act_id in graph.activities:
+        informants = frozen_dedupe(
+            generator[ent]
+            for a, ent in graph.used
+            if a == act_id and ent in generator and generator[ent] != act_id
+        )
+        informed.extend((act_id, informant) for informant in informants)
+    graph.was_informed_by = informed
+    return graph
+
+
+def frozen_build_graph(tracer: Tracer) -> ProvGraph:
+    """Build the PROV graph for a trace at the tracer's verbosity level."""
+    if tracer.level == VerbosityLevel.NONE:
+        return ProvGraph()
+    graph = frozen_build_level(tracer, None)
+    graph.check_acyclic()
+    return graph

@@ -263,6 +263,25 @@ class TestNesting:
         sub = next(iter(graph.sub_graphs.values()))
         assert [a.name for a in sub.activities.values()] == ["double", "double"]
 
+    def test_nested_failure_names_the_outer_step(self):
+        reg = make_registry()
+        as_operation(spec_of([PipelineStep("boom", {}, ["x"], ["y"])], name="fragile"), reg)
+        outer = spec_of(
+            [
+                PipelineStep("double", {}, ["x"], ["d"]),
+                PipelineStep("fragile", {}, ["d"], ["y"]),
+            ],
+            name="outer",
+        )
+        with pytest.raises(StepFailureError) as err:
+            run_pipeline(outer, {"x": 1}, registry=reg)
+        assert (err.value.step_index, err.value.op_name) == (1, "fragile")
+        inner = err.value.cause
+        assert isinstance(inner, StepFailureError)
+        assert (inner.step_index, inner.op_name) == (0, "boom")
+        assert isinstance(inner.cause, ZeroDivisionError)
+        assert str(err.value).startswith("step 1 (fragile) failed: step 0 (boom) failed:")
+
     def test_sub_pipeline_binds_once_at_registration(self):
         reg, bound = counting_registry()
         as_operation(spec_of([PipelineStep("inc", {}, ["x"], ["y"])], name="inc1"), reg)

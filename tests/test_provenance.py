@@ -1,6 +1,10 @@
+import itertools
 import json
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from annopipe.exceptions import CycleDetectedError, SelfDerivationError
 from annopipe.provenance import (
@@ -12,6 +16,8 @@ from annopipe.provenance import (
     export_prov,
     parse_prov_json,
 )
+
+from helpers import frozen_build_graph
 
 
 def _op(name):
@@ -43,6 +49,14 @@ class TestTracer:
     def test_requires_outputs(self):
         with pytest.raises(ValueError):
             Tracer().record(_op("x"), ["a"], [])
+
+    def test_unopened_scope_rejected(self):
+        tracer = Tracer()
+        with pytest.raises(ValueError):
+            tracer.record(_op("x"), ["a"], ["b"], scope="never-opened")
+        with pytest.raises(ValueError):
+            tracer.open_scope(_op("sub"), parent="never-opened")
+        assert tracer.records == [] and tracer._scopes == {}
 
     def test_verbosity_parse(self):
         assert VerbosityLevel.parse("steps") is VerbosityLevel.STEPS
@@ -182,3 +196,62 @@ class TestMerge:
         graph = build_graph(a)
         assert {"o1", "o2"} <= graph.entities
         assert len(graph.activities) == 2
+
+
+ITEMS = [f"e{i}" for i in range(10)]
+
+
+@st.composite
+def nested_traces(draw, level):
+    """Merged traces over a shared item pool, with scopes up to 3 deep.
+
+    Sources come from below a random cut of the pool and outputs from above
+    it, so item lineage itself stays acyclic; a scope whose records
+    interleave with outside ones can still collapse into a cycle, which both
+    builders must report. Scopes may be left empty, and any record may reuse
+    items another scope or tracer produced.
+    """
+    tracers = []
+    for _ in range(draw(st.integers(1, 3))):
+        tracer = Tracer(level)
+        depth = {None: 0}
+        for _ in range(draw(st.integers(0, 14))):
+            scope = draw(st.sampled_from(list(depth)))
+            if depth[scope] < 3 and draw(st.integers(0, 3)) == 0:
+                op = OperationDescriptor(draw(st.sampled_from("pq")), {"n": len(depth)})
+                depth[tracer.open_scope(op, parent=scope)] = depth[scope] + 1
+                continue
+            cut = draw(st.integers(1, len(ITEMS) - 1))
+            sources = draw(st.lists(st.sampled_from(ITEMS[:cut]), max_size=4))
+            outputs = draw(st.lists(st.sampled_from(ITEMS[cut:]), min_size=1, max_size=3))
+            tracer.record(_op(draw(st.sampled_from("abc"))), sources, outputs, scope=scope)
+        tracers.append(tracer)
+    for other in tracers[1:]:
+        tracers[0].merge(other)
+    return tracers[0]
+
+
+def _build_with_counted_ids(builder, tracer):
+    """Build with activity ids drawn from a counter, so builds compare by position."""
+    counter = itertools.count()
+    with mock.patch("uuid.uuid4", lambda: f"act{next(counter)}"):
+        try:
+            return builder(tracer)
+        except CycleDetectedError:
+            return CycleDetectedError
+
+
+class TestBuilderMatchesFrozen:
+    @pytest.mark.parametrize("level", [VerbosityLevel.STEPS, VerbosityLevel.FULL])
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_same_graph_as_frozen_builder(self, level, data):
+        tracer = data.draw(nested_traces(level))
+        expected = _build_with_counted_ids(frozen_build_graph, tracer)
+        graph = _build_with_counted_ids(build_graph, tracer)
+        if expected is CycleDetectedError:
+            assert graph is CycleDetectedError
+            return
+        assert list(graph.activities.items()) == list(expected.activities.items())
+        assert graph == expected
+        assert export_prov(graph) == export_prov(expected)
