@@ -114,6 +114,19 @@ def _detect_context_factory(params):
     return run
 
 
+def _detect_context_lineage(args, outputs):
+    """Output entity k derives from input entity k and each sentence holding it."""
+    sentences, entities = args
+    holders = {id(e): [] for e in entities}
+    for sentence, held in zip(sentences, _entities_by_sentence(sentences, entities)):
+        for entity in held:
+            holders[id(entity)].append(sentence)
+    for entity, derived in zip(entities, outputs[0]):
+        yield derived, entity
+        for sentence in holders[id(entity)]:
+            yield derived, sentence
+
+
 def _emit_brat_factory(params):
     return lambda doc, entities: emit_brat(doc, entities)
 
@@ -125,7 +138,9 @@ def register_builtin_operations(registry: OperationRegistry) -> None:
     registry.register("match_dictionary", _match_dictionary_factory, 1, 1, "item")
     registry.register("match_regex", _match_regex_factory, 1, 1, "item")
     registry.register("match_dates", _match_dates_factory, 1, 1, "item")
-    registry.register("detect_context", _detect_context_factory, 2, 1, "batch")
+    registry.register(
+        "detect_context", _detect_context_factory, 2, 1, "batch", _detect_context_lineage
+    )
     registry.register("emit_brat", _emit_brat_factory, 2, 1, "batch")
 
 

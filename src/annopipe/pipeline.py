@@ -9,13 +9,18 @@ appearing as one composite activity in provenance.
 Data slots hold a single value or a homogeneous list. Operations registered
 in "item" mode are mapped over list slots (list results are concatenated);
 "batch" operations receive slot values as-is.
+
+A traced step records which of its outputs derive from which of its inputs:
+an item-mode step derives what each call made from what that call took, a
+batch step from what its registered ``lineage`` function names, and a batch
+step registered without one derives every output from every input.
 """
 
 from __future__ import annotations
 
 import uuid
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .exceptions import (
     ConfigError,
@@ -84,6 +89,11 @@ class ValidationIssue:
     reason: str
 
 
+# A batch operation's lineage: (args, outputs) -> (output item, source item)
+# pairs, where outputs holds one value per output slot.
+Lineage = Callable[[list, tuple], Iterable[tuple]]
+
+
 @dataclass
 class _Registered:
     factory: Callable
@@ -91,6 +101,7 @@ class _Registered:
     n_outputs: int
     mode: str  # "item" or "batch"
     plan: Optional["Plan"] = None  # set for a registered sub-pipeline
+    lineage: Optional[Lineage] = None
 
 
 class OperationRegistry:
@@ -106,12 +117,20 @@ class OperationRegistry:
         n_inputs: int = 1,
         n_outputs: int = 1,
         mode: str = "item",
+        lineage: Optional[Lineage] = None,
     ) -> None:
+        """Register an operation factory under ``name``.
+
+        A batch operation may pass ``lineage`` to say which of its outputs
+        derive from which inputs; without it, each derives from every input.
+        """
         if name in self._ops:
             raise DuplicateNameError(f"operation {name!r} already registered")
         if mode not in ("item", "batch"):
             raise ValueError(f"unknown mode {mode!r}")
-        self._ops[name] = _Registered(factory, n_inputs, n_outputs, mode)
+        if lineage is not None and mode != "batch":
+            raise ValueError("only batch operations declare their lineage")
+        self._ops[name] = _Registered(factory, n_inputs, n_outputs, mode, lineage=lineage)
 
     def register_pipeline(self, spec: PipelineSpec) -> None:
         reg = _Registered(
@@ -148,8 +167,11 @@ def register_operation(
     n_outputs: int = 1,
     mode: str = "item",
     registry: Optional[OperationRegistry] = None,
+    lineage: Optional[Lineage] = None,
 ) -> None:
-    (registry or _default_registry).register(name, factory, n_inputs, n_outputs, mode)
+    (registry or _default_registry).register(
+        name, factory, n_inputs, n_outputs, mode, lineage
+    )
 
 
 def as_operation(
@@ -208,14 +230,36 @@ def validate_pipeline(
     return issues
 
 
-def _item_ids(value) -> list[str]:
-    """Provenance ids for a slot value; values without ids get a fresh one."""
-    items = value if isinstance(value, list) else [value]
-    ids = []
-    for item in items:
-        item_id = getattr(item, "id", None)
-        ids.append(item_id if isinstance(item_id, str) else str(uuid.uuid4()))
-    return ids
+def _items(value) -> list:
+    """The items of a slot value: a list's elements, or the value itself."""
+    return value if isinstance(value, list) else [value]
+
+
+def _source_id(minted: dict, item) -> str:
+    """Provenance id of an item a step takes.
+
+    An item with a string ``id`` is named by it. Any other item (a str, an
+    int) keeps the id minted when a step made it, or, if no step made it,
+    the id minted the first time a step takes it.
+    """
+    item_id = getattr(item, "id", None)
+    if isinstance(item_id, str):
+        return item_id
+    known = minted.get(id(item))
+    if known is None:
+        # The item is kept with its id, so no later object reuses its id().
+        known = minted[id(item)] = (item, str(uuid.uuid4()))
+    return known[1]
+
+
+def _output_id(minted: dict, item) -> str:
+    """Provenance id of an item a step makes; an id-less item gets a new one."""
+    item_id = getattr(item, "id", None)
+    if isinstance(item_id, str):
+        return item_id
+    item_id = str(uuid.uuid4())
+    minted[id(item)] = (item, item_id)
+    return item_id
 
 
 class _BoundStep(NamedTuple):
@@ -258,10 +302,21 @@ def compile_pipeline(
     return Plan(spec, tuple(steps))
 
 
-def _run_mapped(registered: _Registered, op: Callable, args: list):
-    """Execute an operation, mapping item-mode operations over list slots."""
+def _run_mapped(
+    registered: _Registered, op: Callable, args: list, calls: Optional[list] = None
+) -> tuple:
+    """Execute an operation, mapping item-mode operations over list slots.
+
+    Returns the step's outputs, one value per output slot. Given a list as
+    ``calls``, an item-mode operation appends, for each call it makes, the
+    items that call made per output slot.
+    """
     if registered.mode == "batch" or not any(isinstance(a, list) for a in args):
-        return op(*args)
+        result = op(*args)
+        outputs = result if registered.n_outputs > 1 else (result,)
+        if calls is not None:
+            calls.append([_items(o) for o in outputs])
+        return outputs
 
     list_lengths = {len(a) for a in args if isinstance(a, list)}
     if len(list_lengths) > 1:
@@ -271,18 +326,54 @@ def _run_mapped(registered: _Registered, op: Callable, args: list):
         op(*[a[i] if isinstance(a, list) else a for a in args]) for i in range(n)
     ]
     if registered.n_outputs == 1:
-        return _combine([r for r in per_item])
-    combined = []
+        per_item = [(r,) for r in per_item]
+    outputs = []
+    slot_items = []  # per output slot, the items each call made
     for pos in range(registered.n_outputs):
-        combined.append(_combine([r[pos] for r in per_item]))
-    return tuple(combined)
+        results = [r[pos] for r in per_item]
+        # Concatenate per-item list results, otherwise collect into a list.
+        concatenated = bool(results) and all(isinstance(r, list) for r in results)
+        outputs.append([x for r in results for x in r] if concatenated else results)
+        if calls is not None:
+            slot_items.append(results if concatenated else [[r] for r in results])
+    if calls is not None:
+        calls.extend(zip(*slot_items))
+    return tuple(outputs)
 
 
-def _combine(results: list):
-    """Concatenate per-item list results, otherwise collect into a list."""
-    if results and all(isinstance(r, list) for r in results):
-        return [x for r in results for x in r]
-    return results
+def _lineage(
+    args: list, outputs: tuple, calls: Optional[list], lineage: Optional[Lineage], minted: dict
+) -> tuple[list, list, Optional[list]]:
+    """Source ids, output ids and (output, source) id pairs of one step.
+
+    The pairs come from ``calls`` for an item-mode step and from ``lineage``,
+    the registered lineage function, for a batch step. They are None when
+    there is neither.
+    """
+    arg_ids = [[_source_id(minted, item) for item in _items(a)] for a in args]
+    source_ids = [i for ids in arg_ids for i in ids]
+    if calls is None:
+        output_ids = [_output_id(minted, item) for o in outputs for item in _items(o)]
+        pairs = None
+        if lineage is not None:
+            # Outputs already have their ids, so both sides are looked up.
+            pairs = [
+                (_source_id(minted, out), _source_id(minted, src))
+                for out, src in lineage(args, outputs)
+            ]
+        return source_ids, output_ids, pairs
+    per_slot = [[] for _ in outputs]
+    pairs = []
+    for i, made in enumerate(calls):
+        took = dict.fromkeys(
+            ids[i] if isinstance(a, list) else ids[0] for a, ids in zip(args, arg_ids)
+        )
+        for slot_ids, items in zip(per_slot, made):
+            for item in items:
+                out = _output_id(minted, item)
+                slot_ids.append(out)
+                pairs.extend((out, src) for src in took)
+    return source_ids, [i for ids in per_slot for i in ids], pairs
 
 
 def run_pipeline(
@@ -297,41 +388,57 @@ def run_pipeline(
     many inputs, compile it once with ``compile_pipeline`` and pass the plan.
     """
     plan = pipeline if isinstance(pipeline, Plan) else compile_pipeline(pipeline, registry)
-    return _execute(plan, inputs, tracer, None)
+    return _execute(plan, inputs, tracer, None, {})
 
 
-def _execute(plan: Plan, inputs: dict, tracer: Optional[Tracer], scope: Optional[str]) -> dict:
-    """Run a plan's steps; a sub-pipeline step runs its plan in a tracer scope."""
+def _execute(
+    plan: Plan, inputs: dict, tracer: Optional[Tracer], scope: Optional[str], minted: dict
+) -> dict:
+    """Run a plan's steps; a sub-pipeline step runs its plan in a tracer scope.
+
+    ``minted`` holds the provenance ids of the run's id-less items; a
+    sub-pipeline shares it with the pipeline that runs it.
+    """
     for key in plan.spec.pipeline_inputs:
         if key not in inputs:
             raise MissingInputError(f"missing pipeline input {key!r}")
 
     env = dict(inputs)
+    traced = tracer is not None and tracer.level != VerbosityLevel.NONE
     for index, (step, registered, op) in enumerate(plan.steps):
         args = [env[k] for k in step.input_keys]
         try:
             if registered.plan is not None:
                 sub = registered.plan
                 sub_scope = None
-                if tracer is not None and tracer.level != VerbosityLevel.NONE:
+                if traced:
                     sub_scope = tracer.open_scope(
                         OperationDescriptor(name=sub.spec.name, config=step.params),
                         parent=scope,
                     )
                 sub_inputs = dict(zip(sub.spec.pipeline_inputs, args))
-                result = _execute(sub, sub_inputs, tracer, sub_scope)
+                result = _execute(sub, sub_inputs, tracer, sub_scope, minted)
                 outputs = tuple(result[k] for k in sub.spec.pipeline_outputs)
             else:
-                result = _run_mapped(registered, op, args)
-                outputs = result if registered.n_outputs > 1 else (result,)
+                calls = [] if traced and registered.mode == "item" else None
+                outputs = _run_mapped(registered, op, args, calls)
                 if tracer is not None:
-                    source_ids = [i for a in args for i in _item_ids(a)]
-                    output_ids = [i for o in outputs for i in _item_ids(o)]
+                    lineage = registered.lineage if traced else None
+                    source_ids, output_ids, pairs = _lineage(
+                        args, outputs, calls, lineage, minted
+                    )
+                    if not output_ids:
+                        # The step made nothing; an id stands for its empty
+                        # result, derived from everything the step took.
+                        output_ids = [str(uuid.uuid4())]
+                        if pairs is not None:
+                            pairs = [(output_ids[0], s) for s in dict.fromkeys(source_ids)]
                     tracer.record(
                         OperationDescriptor(name=step.op_name, config=step.params),
                         sources=source_ids,
-                        outputs=output_ids or [str(uuid.uuid4())],
+                        outputs=output_ids,
                         scope=scope,
+                        derivations=pairs,
                     )
         except Exception as exc:
             raise StepFailureError(index, step.op_name, exc) from exc

@@ -2,10 +2,10 @@
 
 A Tracer accumulates records of which operation produced which data items
 from which inputs. Records carry an optional scope identifying the composite
-activity (nested pipeline) they ran under. build_graph turns a trace into a
-PROV-style graph: at `steps` verbosity nested pipelines collapse into a
-single composite activity, at `full` verbosity composites additionally carry
-their expanded sub-graph.
+activity (nested pipeline) they ran under, and may name which output derives
+from which source. build_graph turns a trace into a PROV-style graph: at
+`steps` verbosity nested pipelines collapse into a single composite activity,
+at `full` verbosity composites additionally carry their expanded sub-graph.
 """
 
 from __future__ import annotations
@@ -58,6 +58,8 @@ class _Record:
     sources: list[str]
     outputs: list[str]
     scope: Optional[str]
+    # (output, source) pairs; None derives every output from every source.
+    derivations: Optional[list[tuple[str, str]]] = None
 
 
 @dataclass
@@ -81,7 +83,14 @@ class Tracer:
         sources: list[str],
         outputs: list[str],
         scope: Optional[str] = None,
+        derivations: Optional[list[tuple[str, str]]] = None,
     ) -> None:
+        """Record one step: ``op`` made ``outputs`` from ``sources``.
+
+        ``derivations`` lists the ``(output, source)`` pairs saying which
+        output derives from which source; without it, every output derives
+        from every source.
+        """
         if not outputs:
             raise ValueError("record requires at least one output")
         source_set = set(sources)
@@ -90,9 +99,19 @@ class Tracer:
                 raise SelfDerivationError(f"{out} listed as both source and output")
         if scope is not None and scope not in self._scopes:
             raise ValueError(f"record names unknown scope {scope!r}")
+        if derivations is not None:
+            derivations = list(derivations)
+            output_set = set(outputs)
+            for out, src in derivations:
+                if out not in output_set or src not in source_set:
+                    raise ValueError(
+                        f"derivation ({out}, {src}) names an item outside the record"
+                    )
         if self.level == VerbosityLevel.NONE:
             return
-        self._records.append(_Record(op, list(sources), list(outputs), scope))
+        self._records.append(
+            _Record(op, list(sources), list(outputs), scope, derivations)
+        )
 
     def open_scope(
         self, op: OperationDescriptor, parent: Optional[str] = None
@@ -170,15 +189,58 @@ class ProvGraph:
             sub.check_acyclic()
 
 
-def _add_activity_edges(graph: ProvGraph, act_id: str, sources, outputs) -> None:
+def _add_activity_edges(
+    graph: ProvGraph, act_id: str, sources, outputs, derivations=None
+) -> None:
+    """Edges of one activity; without ``derivations`` every output derives
+    from every source."""
     graph.entities.update(sources)
     graph.entities.update(outputs)
     for src in sources:
         graph.used.append((act_id, src))
     for out in outputs:
         graph.was_generated_by.append((out, act_id))
+    if derivations is not None:
+        graph.was_derived_from.extend(dict.fromkeys(derivations))
+        return
+    for out in outputs:
         for src in sources:
             graph.was_derived_from.append((out, src))
+
+
+def _composite_derivations(records: list, generated: set, exposed) -> list:
+    """Pairs deriving each exposed output of a composite from the external
+    sources that its records' pairs lead back to.
+
+    The walk from an output goes back through the pairs: an item made inside
+    the composite leads on to its own sources, any other item is an external
+    source. An output's sources are kept once walked, so a walk that reaches
+    an output walked before takes its sources whole.
+    """
+    parents: dict = {}
+    for rec in records:
+        for out, src in rec.derivations:
+            parents.setdefault(out, []).append(src)
+    reached: dict = {}
+    pairs = []
+    for out in exposed:
+        found: dict = {}
+        seen = {out}
+        stack = [out]
+        while stack:
+            for src in parents.get(stack.pop(), ()):
+                if src in seen:
+                    continue
+                seen.add(src)
+                if src in reached:
+                    found.update(reached[src])
+                elif src in generated:
+                    stack.append(src)
+                else:
+                    found[src] = None
+        reached[out] = found
+        pairs.extend((out, src) for src in found)
+    return pairs
 
 
 def _build_level(
@@ -207,7 +269,11 @@ def _build_level(
             act_id = str(uuid.uuid4())
             graph.activities[act_id] = Activity(act_id, unit.op.name, dict(unit.op.config))
             _add_activity_edges(
-                graph, act_id, dict.fromkeys(unit.sources), dict.fromkeys(unit.outputs)
+                graph,
+                act_id,
+                dict.fromkeys(unit.sources),
+                dict.fromkeys(unit.outputs),
+                unit.derivations,
             )
             continue
         generated = {o for rec in unit for o in rec.outputs}
@@ -224,11 +290,16 @@ def _build_level(
             for o in rec.outputs
             if o not in consumed or mentions[o] > inside[o]
         )
+        # Pairs are derived only when every record inside has its own;
+        # otherwise every exposed output derives from every external source.
+        derivations = None
+        if all(rec.derivations is not None for rec in unit):
+            derivations = _composite_derivations(unit, generated, exposed)
         scope = tracer._scopes[key]
         graph.activities[key] = Activity(
             key, scope.op.name, dict(scope.op.config), composite=True
         )
-        _add_activity_edges(graph, key, ext_sources, exposed)
+        _add_activity_edges(graph, key, ext_sources, exposed, derivations)
         if tracer.level >= VerbosityLevel.FULL:
             graph.sub_graphs[key] = _build_level(tracer, key, unit, mentions)
 

@@ -706,3 +706,73 @@ def frozen_build_graph(tracer: Tracer) -> ProvGraph:
     graph = frozen_build_level(tracer, None)
     graph.check_acyclic()
     return graph
+
+
+# Item lineage by brute force: each item of an item-mode step runs through
+# the step's bound op alone, and the outputs that call made, matched to the
+# recorded outputs by position and content, derive from the items it took.
+# detect_context output k derives from input entity k and every sentence the
+# first-written scoping accepts it in.
+
+
+def _item_step_derivations(registered, op, args: list, outs: list) -> set:
+    lengths = {len(a) for a in args if isinstance(a, list)}
+    n = lengths.pop() if lengths else 1
+    calls = []
+    for i in range(n):
+        took = [a[i] if isinstance(a, list) else a for a in args]
+        result = op(*took)
+        calls.append((took, result if registered.n_outputs > 1 else (result,)))
+    pairs = set()
+    for pos, out in enumerate(outs):
+        recorded = out if isinstance(out, list) else [out]
+        concatenated = all(isinstance(r[pos], list) for _, r in calls)
+        cursor = 0
+        for took, result in calls:
+            for item in result[pos] if concatenated else [result[pos]]:
+                made = recorded[cursor]
+                assert entity_fingerprint(item) == entity_fingerprint(made)
+                pairs.update((made.id, src.id) for src in took)
+                cursor += 1
+        assert cursor == len(recorded)
+    return pairs
+
+
+def _context_derivations(args: list, outs: list) -> set:
+    sentences, entities = args
+    pairs = set()
+    for entity, derived in zip(entities, outs[0]):
+        pairs.add((derived.id, entity.id))
+        for sentence in sentences:
+            try:
+                frozen_local_range(sentence, entity, frozen_original_index_per_char(sentence))
+            except ScopeError:
+                continue
+            pairs.add((derived.id, sentence.id))
+    return pairs
+
+
+def expected_derivations(plan, env: dict) -> list:
+    """(op name, expected pairs) of each record a traced run of ``plan`` made.
+
+    ``env`` holds every slot value of the run; a sub-pipeline must list all
+    of its slots among its outputs, so that its steps' values are there too.
+    The pairs are a set of ``(output id, source id)``, or None for a batch
+    step whose outputs derive from all of its inputs.
+    """
+    expected = []
+    for step, registered, op in plan.steps:
+        args = [env[k] for k in step.input_keys]
+        outs = [env[k] for k in step.output_keys]
+        if registered.plan is not None:
+            sub = registered.plan.spec
+            inner = dict(zip(sub.pipeline_inputs, args))
+            inner.update(zip(sub.pipeline_outputs, outs))
+            expected.extend(expected_derivations(registered.plan, inner))
+        elif step.op_name == "detect_context":
+            expected.append((step.op_name, _context_derivations(args, outs)))
+        elif registered.mode == "batch":
+            expected.append((step.op_name, None))
+        else:
+            expected.append((step.op_name, _item_step_derivations(registered, op, args, outs)))
+    return expected

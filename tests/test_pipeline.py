@@ -323,3 +323,79 @@ class TestNesting:
         clone.register("extra", lambda params: (lambda x: x), 1, 1, "item")
         assert reg.get("extra") is None
         assert clone.get("double") is not None
+
+
+class TestItemLineage:
+    def _trace(self, steps, inputs, registry, level=VerbosityLevel.FULL):
+        tracer = Tracer(level)
+        spec = spec_of(steps, inputs=list(inputs), outputs=steps[-1].output_keys[:1])
+        run_pipeline(spec, inputs, tracer, registry)
+        return tracer
+
+    def test_each_output_derives_from_the_item_that_made_it(self):
+        steps = [PipelineStep("explode", {}, ["x"], ["y"])]
+        (rec,) = self._trace(steps, {"x": [1, 2]}, make_registry())._records
+        (s1, s2), (o1, o2, o3, o4) = rec.sources, rec.outputs
+        assert rec.derivations == [(o1, s1), (o2, s1), (o3, s2), (o4, s2)]
+
+    def test_broadcast_input_feeds_every_call(self):
+        steps = [PipelineStep("add", {}, ["x", "k"], ["y"])]
+        (rec,) = self._trace(steps, {"x": [1, 2], "k": 10}, make_registry())._records
+        (x1, x2, k), (o1, o2) = rec.sources, rec.outputs
+        assert rec.derivations == [(o1, x1), (o1, k), (o2, x2), (o2, k)]
+
+    def test_idless_output_keeps_its_id_downstream(self):
+        reg = OperationRegistry()
+        reg.register("upper", lambda params: str.upper)
+        reg.register("length", lambda params: len)
+        steps = [PipelineStep("upper", {}, ["x"], ["u"]), PipelineStep("length", {}, ["u"], ["y"])]
+        graph = build_graph(self._trace(steps, {"x": ["ab", "cde"]}, reg, VerbosityLevel.STEPS))
+        names = {a: act.name for a, act in graph.activities.items()}
+        made_by = {ent: names[act] for ent, act in graph.was_generated_by}
+        used = [ent for act, ent in graph.used if names[act] == "length"]
+        assert [made_by.get(ent) for ent in used] == ["upper", "upper"]
+        assert [(names[a], names[b]) for a, b in graph.was_informed_by] == [("length", "upper")]
+
+    def test_output_that_is_its_own_input_gets_a_new_id(self):
+        reg = make_registry()
+        reg.register("same", lambda params: (lambda x: x))
+        (rec,) = self._trace([PipelineStep("same", {}, ["x"], ["y"])], {"x": [0, 7]}, reg)._records
+        assert not set(rec.sources) & set(rec.outputs)
+
+
+class TestBatchLineage:
+    def _registry(self):
+        reg = make_registry()
+        reg.register(
+            "zip_add",
+            lambda params: (lambda a, b: [x + y for x, y in zip(a, b)]),
+            2,
+            1,
+            "batch",
+            lineage=lambda args, outputs: (
+                (out, src)
+                for k, out in enumerate(outputs[0])
+                for src in (args[0][k], args[1][k])
+            ),
+        )
+        return reg
+
+    def test_declared_lineage_is_recorded(self):
+        tracer = Tracer()
+        spec = spec_of([PipelineStep("zip_add", {}, ["a", "b"], ["y"])], inputs=("a", "b"))
+        result = run_pipeline(spec, {"a": [1, 2], "b": [300, 400]}, tracer, self._registry())
+        assert result == {"y": [301, 402]}
+        (rec,) = tracer._records
+        (a1, a2, b1, b2), (o1, o2) = rec.sources, rec.outputs
+        assert rec.derivations == [(o1, a1), (o1, b1), (o2, a2), (o2, b2)]
+
+    def test_undeclared_lineage_is_the_cross_product(self):
+        tracer = Tracer()
+        spec = spec_of([PipelineStep("total", {}, ["x"], ["y"])])
+        run_pipeline(spec, {"x": [1, 2]}, tracer, make_registry())
+        assert tracer._records[0].derivations is None
+        assert len(build_graph(tracer).was_derived_from) == 2
+
+    def test_only_batch_operations_declare_lineage(self):
+        with pytest.raises(ValueError):
+            OperationRegistry().register("f", lambda params: len, lineage=lambda a, o: [])

@@ -62,6 +62,20 @@ class TestTracer:
         assert VerbosityLevel.parse("steps") is VerbosityLevel.STEPS
         assert VerbosityLevel.parse("FULL") is VerbosityLevel.FULL
 
+    def test_derivations_must_name_the_record_items(self):
+        tracer = Tracer()
+        with pytest.raises(ValueError):
+            tracer.record(_op("x"), ["a"], ["b"], derivations=[("c", "a")])
+        with pytest.raises(ValueError):
+            tracer.record(_op("x"), ["a"], ["b"], derivations=[("b", "c")])
+        assert tracer._records == []
+
+    def test_derivations_kept_beside_full_sources(self):
+        tracer = Tracer()
+        tracer.record(_op("split"), ["d1", "d2"], ["s1", "s2"], derivations=[("s1", "d1")])
+        assert [r.source_ids for r in tracer.records] == [["d1", "d2"], ["d1", "d2"]]
+        assert tracer._records[0].derivations == [("s1", "d1")]
+
 
 class TestBuildGraph:
     def test_flat_chain(self):
@@ -93,6 +107,16 @@ class TestBuildGraph:
         graph.was_generated_by = [("x", "a")]
         with pytest.raises(CycleDetectedError):
             graph.check_acyclic()
+
+    def test_derivations_replace_the_cross_product(self):
+        tracer = Tracer()
+        tracer.record(
+            _op("split"), ["d1", "d2"], ["s1", "s2", "s3"],
+            derivations=[("s1", "d1"), ("s2", "d2"), ("s3", "d2"), ("s1", "d1")],
+        )
+        graph = build_graph(tracer)
+        assert graph.was_derived_from == [("s1", "d1"), ("s2", "d2"), ("s3", "d2")]
+        assert len(graph.used) == 2 and len(graph.was_generated_by) == 3
 
     def test_none_level_graph_is_empty(self):
         tracer = Tracer(VerbosityLevel.NONE)
@@ -137,11 +161,56 @@ class TestCompositeActivities:
         full = build_graph(_nested_trace(VerbosityLevel.FULL))
         assert steps.all_entities() <= full.all_entities()
 
+    def test_composite_derives_through_inner_pairs(self):
+        tracer = Tracer(VerbosityLevel.STEPS)
+        tracer.record(
+            _op("load"), ["raw"], ["d1", "d2"], derivations=[("d1", "raw"), ("d2", "raw")]
+        )
+        scope = tracer.open_scope(_op("preprocess"))
+        tracer.record(
+            _op("split"), ["d1", "d2"], ["s1", "s2"], scope=scope,
+            derivations=[("s1", "d1"), ("s2", "d2")],
+        )
+        tracer.record(
+            _op("clean"), ["s1", "s2"], ["c1", "c2"], scope=scope,
+            derivations=[("c1", "s1"), ("c2", "s2")],
+        )
+        tracer.record(_op("ner"), ["c2"], ["e2"], derivations=[("e2", "c2")])
+        graph = build_graph(tracer)
+        assert ("c1", "d1") in graph.was_derived_from
+        assert ("c2", "d2") in graph.was_derived_from
+        assert ("c1", "d2") not in graph.was_derived_from
+        assert len(graph.was_derived_from) == 5
+
     def test_composite_informed_edges(self):
         graph = build_graph(_nested_trace(VerbosityLevel.STEPS))
         names = {a: act.name for a, act in graph.activities.items()}
         informed = {(names[x], names[y]) for x, y in graph.was_informed_by}
         assert informed == {("preprocess", "load"), ("ner", "preprocess")}
+
+
+class TestInterleavedScope:
+    """A scope's records interleaved with an outside record that feeds them.
+
+    Collapsed into one composite, the scope both feeds and is fed by the
+    outside activity. The graph has a cycle in used/wasGeneratedBy whatever
+    the item lineage says, so build_graph rejects the trace. run_pipeline
+    never makes one: a sub-pipeline's records are contiguous.
+    """
+
+    @pytest.mark.parametrize("level", [VerbosityLevel.STEPS, VerbosityLevel.FULL])
+    @pytest.mark.parametrize("with_pairs", [False, True])
+    def test_build_graph_reports_the_cycle(self, level, with_pairs):
+        def pairs(*p):
+            return list(p) if with_pairs else None
+
+        tracer = Tracer(level)
+        sub = tracer.open_scope(_op("sub"))
+        tracer.record(_op("a"), ["in"], ["x"], scope=sub, derivations=pairs(("x", "in")))
+        tracer.record(_op("b"), ["x"], ["y"], derivations=pairs(("y", "x")))
+        tracer.record(_op("c"), ["y"], ["z"], scope=sub, derivations=pairs(("z", "y")))
+        with pytest.raises(CycleDetectedError):
+            build_graph(tracer)
 
 
 class TestExport:
@@ -196,6 +265,13 @@ class TestMerge:
         graph = build_graph(a)
         assert {"o1", "o2"} <= graph.entities
         assert len(graph.activities) == 2
+
+    def test_merge_carries_derivations(self):
+        a, b = Tracer(), Tracer()
+        b.record(_op("x"), ["d1", "d2"], ["o1"], derivations=[("o1", "d2")])
+        a.merge(b)
+        assert a._records[0].derivations == [("o1", "d2")]
+        assert build_graph(a).was_derived_from == [("o1", "d2")]
 
 
 ITEMS = [f"e{i}" for i in range(10)]
