@@ -7,7 +7,7 @@ back to the raw document (see :mod:`annopipe.spans`).
 
 from __future__ import annotations
 
-import uuid
+import os
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -18,7 +18,8 @@ ScalarValue = Union[bool, int, float, str, None]
 
 
 def new_id() -> str:
-    return str(uuid.uuid4())
+    """An opaque annotation id: 128 random bits as 32 lowercase hex digits."""
+    return os.urandom(16).hex()
 
 
 @dataclass

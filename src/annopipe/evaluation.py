@@ -106,14 +106,28 @@ def align_entities(
                 for ri in refs_by_key.get(key(p, pred_sets[pi]), ()):
                     candidates.append((1.0, _start(ref[ri]), _start(p), pi, ri))
     else:
-        for pi, p in enumerate(pred):
-            for ri, r in enumerate(ref):
-                if spec.label_sensitive and p.label != r.label:
+        # The threshold is above 0, so a pair needs a shared character and
+        # hence overlapping [first, last] ranges: sweep both sides by first
+        # character, keeping open the refs whose range reaches the pred's.
+        def ranges(sets):
+            return sorted((min(s), max(s), i) for i, s in enumerate(sets) if s)
+
+        refs, open_refs, next_ref = ranges(ref_sets), [], 0
+        for lo, hi, pi in ranges(pred_sets):
+            while next_ref < len(refs) and refs[next_ref][0] <= hi:
+                open_refs.append(refs[next_ref])
+                next_ref += 1
+            open_refs = [r for r in open_refs if r[1] >= lo]
+            p = pred[pi]
+            for r_lo, _, ri in open_refs:
+                r = ref[ri]
+                if r_lo > hi or (spec.label_sensitive and p.label != r.label):
                     continue
                 iou = _iou(pred_sets[pi], ref_sets[ri])
                 if iou >= spec.iou_threshold:
                     candidates.append((iou, _start(r), _start(p), pi, ri))
-    candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
+    # pi and ri order ties as a pred-major scan over all pairs would.
+    candidates.sort(key=lambda c: (-c[0], c[1], c[2], c[3], c[4]))
 
     match_of_pred: dict[int, int] = {}
     match_of_ref: dict[int, int] = {}

@@ -18,10 +18,10 @@ step registered without one derives every output from every input.
 
 from __future__ import annotations
 
-import uuid
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Optional
 
+from .core import new_id
 from .exceptions import (
     ConfigError,
     DuplicateNameError,
@@ -248,7 +248,7 @@ def _source_id(minted: dict, item) -> str:
     known = minted.get(id(item))
     if known is None:
         # The item is kept with its id, so no later object reuses its id().
-        known = minted[id(item)] = (item, str(uuid.uuid4()))
+        known = minted[id(item)] = (item, new_id())
     return known[1]
 
 
@@ -257,7 +257,7 @@ def _output_id(minted: dict, item) -> str:
     item_id = getattr(item, "id", None)
     if isinstance(item_id, str):
         return item_id
-    item_id = str(uuid.uuid4())
+    item_id = new_id()
     minted[id(item)] = (item, item_id)
     return item_id
 
@@ -430,7 +430,7 @@ def _execute(
                     if not output_ids:
                         # The step made nothing; an id stands for its empty
                         # result, derived from everything the step took.
-                        output_ids = [str(uuid.uuid4())]
+                        output_ids = [new_id()]
                         if pairs is not None:
                             pairs = [(output_ids[0], s) for s in dict.fromkeys(source_ids)]
                     tracer.record(

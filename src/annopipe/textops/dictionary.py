@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
@@ -101,44 +102,62 @@ def fold_text(text: str, strip_accents: bool, lower: bool) -> tuple[str, list[in
     return "".join(parts), index_map
 
 
+# A maximal run of str.isalnum characters: a word, as the boundary check sees it.
+_WORD = re.compile(r"[^\W_]+")
+
+
 class PreparedDictionary(NamedTuple):
     """Dictionary entries with their terms folded once for matching."""
 
     strip_accents: bool
     # (folded term, lower, entry) in entry order; terms folding to "" dropped.
     needles: tuple[tuple[str, bool, DictionaryEntry], ...]
-    # The case modes (lower flags) the needles use: the folds a segment needs.
-    modes: frozenset[bool]
+    # Per case mode (lower flag) the needles use: needle indices by the
+    # needle's head word, "" for needles that start with a non-word character.
+    heads: dict[bool, dict[str, list[int]]]
 
 
 def prepare_dictionary(
     entries: list[DictionaryEntry], strip_accents: bool = False
 ) -> PreparedDictionary:
-    """Fold every term once, in the case mode its entry matches in."""
+    """Fold every term once, in the case mode its entry matches in, and index
+    the folded terms by head word."""
     needles = []
+    heads: dict[bool, dict[str, list[int]]] = {}
     for entry in entries:
         lower = not entry.case_sensitive
         needle = fold_text(entry.term, strip_accents, lower)[0]
         if needle:
+            head = _WORD.match(needle)
+            heads.setdefault(lower, {}).setdefault(head[0] if head else "", []).append(
+                len(needles)
+            )
             needles.append((needle, lower, entry))
-    return PreparedDictionary(
-        strip_accents, tuple(needles), frozenset(lower for _, lower, _ in needles)
-    )
+    return PreparedDictionary(strip_accents, tuple(needles), heads)
 
 
 def match_prepared(seg: Segment, prepared: PreparedDictionary) -> list[Entity]:
     """Entities for the prepared terms found on word boundaries of seg.
 
-    The segment is folded once per case mode the terms use. Overlapping
+    The segment is folded once per case mode the terms use. Only terms whose
+    head word is a word of the fold are searched: a match starts a word of
+    the fold, and that word is the head, since the head ends on a non-word
+    character the match shares or on the match's end boundary. Overlapping
     candidates are resolved leftmost-longest; on equal spans the earlier
     entry wins.
     """
     folds = {
         lower: fold_text(seg.text, prepared.strip_accents, lower)
-        for lower in prepared.modes
+        for lower in prepared.heads
     }
+    picked = []
+    for lower, (haystack, _) in folds.items():
+        heads = prepared.heads[lower]
+        for word in heads.keys() & {"", *_WORD.findall(haystack)}:
+            picked.extend(heads[word])
     candidates = []
-    for needle, lower, entry in prepared.needles:
+    for i in sorted(picked):
+        needle, lower, entry = prepared.needles[i]
         haystack, index_map = folds[lower]
         pos = haystack.find(needle)
         while pos != -1:

@@ -9,6 +9,7 @@ from annopipe.core import (
     Segment,
     create_document,
     full_text_segment,
+    new_id,
 )
 from annopipe.exceptions import DuplicateIdError, OutOfBoundsError
 from annopipe.spans import ModifiedSpan, Span
@@ -28,6 +29,11 @@ class TestAttribute:
 class TestAnnotation:
     def test_fresh_ids_differ(self):
         assert Annotation(label="x").id != Annotation(label="x").id
+
+    def test_new_id_is_32_lowercase_hex_digits_and_unique(self):
+        ids = [new_id() for _ in range(100_000)]
+        assert all(len(i) == 32 and set(i) <= set("0123456789abcdef") for i in ids)
+        assert len(set(ids)) == len(ids)
 
     def test_duplicate_attribute_ids_rejected(self):
         attr = Attribute(label="a", value=1)

@@ -187,3 +187,37 @@ def test_align_entities_matches_frozen_align(pred, ref, mode, label_sensitive):
     assert got[0] == expected[0]
     assert [e.id for e in got[1]] == [e.id for e in expected[1]]
     assert [e.id for e in got[2]] == [e.id for e in expected[2]]
+
+
+# The overlap sweep compares only pairs whose character ranges overlap; at
+# any threshold it finds the candidates of the all-pairs scan.
+
+wide_fragments = st.tuples(st.integers(0, 40), st.integers(0, 12)).map(
+    lambda t: Span(t[0], t[0] + t[1])
+)
+wide_entities = st.builds(
+    lambda label, spans: Entity(
+        label=label, text="x" * sum(s.length for s in spans), spans=spans
+    ),
+    st.sampled_from(["Drug", "Date"]),
+    st.lists(wide_fragments, max_size=3),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(wide_entities, max_size=12),
+    st.lists(wide_entities, max_size=12),
+    st.sampled_from([0.01, 0.2, 0.5, 1.0]),
+    st.booleans(),
+)
+def test_overlap_alignment_matches_frozen_align_at_any_threshold(
+    pred, ref, threshold, label_sensitive
+):
+    pred = pred + pred[:2]
+    spec = MatchSpec(mode="overlap", iou_threshold=threshold, label_sensitive=label_sensitive)
+    got = align_entities(pred, ref, spec)
+    expected = frozen_align_entities(pred, ref, spec)
+    assert got[0] == expected[0]
+    assert [e.id for e in got[1]] == [e.id for e in expected[1]]
+    assert [e.id for e in got[2]] == [e.id for e in expected[2]]

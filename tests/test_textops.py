@@ -1,12 +1,14 @@
+import importlib.util
 import random
 import re
 import unicodedata
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from annopipe import ops  # noqa: F401  (register builtin operations)
+from annopipe import demo, ops  # noqa: F401  (register builtin operations)
 from annopipe.core import Entity, Segment, create_document, full_text_segment
 from annopipe.exceptions import ScopeError
 from annopipe.pipeline import default_registry
@@ -32,7 +34,9 @@ from annopipe.textops import (
     load_dictionary,
     match_dates,
     match_dictionary,
+    match_prepared,
     match_regex,
+    prepare_dictionary,
     split_sentences,
 )
 from annopipe.textops import dictionary as dictionary_module
@@ -458,6 +462,89 @@ def test_match_dictionary_op_folds_terms_once(monkeypatch):
     assert found == [["aspirine"], ["morphine"], []]
     # One fold per segment: no entry is case-sensitive, so no exact-case fold.
     assert len(calls) == 3 + len(texts)
+
+
+# The head-word index: terms sharing a head word, terms whose head is
+# followed by a non-word character, terms starting with one, and heads that
+# occur in the text only inside a longer word.
+HEAD_TERMS = [
+    "ab", "AB", "ab-c", "abc", "ab_c", "c-ab", "ab c", "ab.", "-ab", "áb",
+    "ab\u0301", "b", "c", "xaby", "ab-cd", "ab²",
+]
+head_texts = st.lists(
+    st.tuples(
+        st.one_of(
+            st.sampled_from(HEAD_TERMS + ["xab", "aby", "abcd", "_ab", "ab_", "ABC"]),
+            st.text(alphabet="abcxyÁ_-. ²\u0301", max_size=4),
+        ),
+        st.sampled_from(["", " ", " ", "-", ".", "_"]),
+    ),
+    max_size=10,
+).map(lambda parts: "".join(word + sep for word, sep in parts))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    head_texts,
+    st.lists(st.sampled_from(HEAD_TERMS), min_size=1, max_size=8),
+    st.lists(st.booleans(), min_size=8, max_size=8),
+    st.booleans(),
+)
+def test_head_word_index_matches_frozen_matcher(text, terms, case_sensitive, strip_accents):
+    entries = [
+        DictionaryEntry(term=term, label=f"L{i}", case_sensitive=case_sensitive[i])
+        for i, term in enumerate(terms)
+    ]
+    seg = seg_of(text)
+    expected = frozen_match_dictionary(seg, entries, strip_accents)
+    got = match_dictionary(seg, entries, strip_accents)
+    assert [entity_fingerprint(e) for e in got] == [
+        entity_fingerprint(e) for e in expected
+    ]
+
+
+def _dictionary_scaling_script():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "dictionary_scaling.py"
+    spec = importlib.util.spec_from_file_location("dictionary_scaling", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_large_dictionary_matches_frozen_matcher_on_a_long_note():
+    script = _dictionary_scaling_script()
+    text = script.demo_note(9_000)
+    seg = seg_of(text)
+    terms = load_dictionary(demo.dictionary_path())
+    entries = terms + script.distractors(text, 16_000)
+    got = match_dictionary(seg, entries, strip_accents=True)
+    assert [entity_fingerprint(e) for e in got] == [
+        entity_fingerprint(e) for e in frozen_match_dictionary(seg, entries, True)
+    ]
+    assert len(got) > 100
+    assert [entity_fingerprint(e) for e in got] == [
+        entity_fingerprint(e) for e in match_dictionary(seg, terms, strip_accents=True)
+    ]
+
+
+def test_terms_whose_head_word_is_absent_are_never_searched():
+    searched = []
+
+    class RecordingNeedles(tuple):
+        def __getitem__(self, i):
+            searched.append(i)
+            return super().__getitem__(i)
+
+    terms = ["aspirine", "morphine", "aspirine forte", "-x", "doli", "prane", "Doliprane"]
+    entries = [DictionaryEntry(term=t, label="Drug") for t in terms]
+    entries[-1].case_sensitive = True
+    prepared = prepare_dictionary(entries)
+    prepared = prepared._replace(needles=RecordingNeedles(prepared.needles))
+    found = match_prepared(seg_of("Sous aspirine et doliprane."), prepared)
+    assert [e.text for e in found] == ["aspirine"]
+    # "doli" and "prane" occur only inside "doliprane"; the case-sensitive
+    # "Doliprane" needs the exact-case word; "-x" has no head word.
+    assert searched == [0, 2, 3]
 
 
 # The detect_context op against the per-(sentence, entity) op it replaced.
