@@ -7,7 +7,9 @@ or usage error.
 from __future__ import annotations
 
 import argparse
+import collections
 import concurrent.futures
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -29,6 +31,7 @@ from .io.docjson import parse_document_json, serialize_document_json
 from .io.textdir import load_text_documents
 from .pipeline import Plan, PipelineSpec, compile_pipeline, run_pipeline
 from .provenance import Tracer, VerbosityLevel, build_graph, export_prov, parse_prov_json
+from .provenance import _write_prov_json
 
 OUTPUT_EXTENSIONS = {"brat": ".ann", "doccano": ".jsonl", "json": ".json"}
 
@@ -84,50 +87,43 @@ def cmd_run(args) -> int:
         if args.workers < 1:
             raise ConfigError("workers must be >= 1")
         docs = load_text_documents(args.input_dir)
-    except AnnopipeError as exc:
+        out_dir = Path(args.output_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        # Opened before any document runs, so an unwritable path fails the
+        # run up front rather than after every output is written.
+        prov_out = open(args.prov_out, "w", encoding="utf-8") if args.prov_out else None
+    except (OSError, AnnopipeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    out_dir = Path(args.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    extension = OUTPUT_EXTENSIONS.get(args.output_format)
-    if extension is None:
-        print(f"error: unknown output format {args.output_format!r}", file=sys.stderr)
-        return 2
-
+    extension = OUTPUT_EXTENSIONS[args.output_format]
     input_key = plan.spec.pipeline_inputs[0]
 
     def process(doc: Document):
         tracer = Tracer(level)
         outputs = run_pipeline(plan, {input_key: doc}, tracer)
         annotations, emitted = _collect_annotations(outputs)
-        return doc, tracer, _emit(doc, annotations, emitted, args.output_format)
+        return tracer, _emit(doc, annotations, emitted, args.output_format)
 
     failures = []
-    tracers = []
-    results = {}
-    with concurrent.futures.ThreadPoolExecutor(max_workers=args.workers) as pool:
-        futures = {pool.submit(process, doc): doc for doc in docs}
-        for future, doc in futures.items():
+    merged = Tracer(level)
+    pool = concurrent.futures.ThreadPoolExecutor(max_workers=args.workers)
+    with prov_out or contextlib.nullcontext(), pool:
+        # Popped in input order, so a document's result is dropped once written.
+        pending = collections.deque((doc, pool.submit(process, doc)) for doc in docs)
+        while pending:
+            doc, future = pending.popleft()
+            name = doc.metadata.get("filename", doc.id)
             try:
-                results[doc.id] = future.result()
+                tracer, payload = future.result()
             except Exception as exc:
-                failures.append((doc.metadata.get("filename", doc.id), exc))
-
-    for doc in docs:
-        if doc.id not in results:
-            continue
-        _, tracer, payload = results[doc.id]
-        stem = Path(doc.metadata.get("filename", doc.id)).stem
-        (out_dir / f"{stem}{extension}").write_text(payload, encoding="utf-8")
-        tracers.append(tracer)
-
-    if args.prov_out:
-        merged = Tracer(level)
-        for tracer in tracers:
+                failures.append((name, exc))
+                continue
+            (out_dir / f"{Path(name).stem}{extension}").write_text(payload, encoding="utf-8")
             merged.merge(tracer)
-        graph = build_graph(merged)
-        Path(args.prov_out).write_text(export_prov(graph, "prov-json"), encoding="utf-8")
+        if prov_out:
+            _write_prov_json(build_graph(merged), prov_out.write)
+            prov_out.write("\n")
 
     for name, exc in failures:
         print(f"failed: {name}: {exc}", file=sys.stderr)

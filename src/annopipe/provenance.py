@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .exceptions import CycleDetectedError, SelfDerivationError
+from .exceptions import CycleDetectedError, MalformedJsonError, SelfDerivationError
 
 
 class VerbosityLevel(enum.IntEnum):
@@ -326,98 +326,100 @@ def build_graph(tracer: Tracer) -> ProvGraph:
     return graph
 
 
-def _graph_to_dict(graph: ProvGraph) -> dict:
-    doc = {
-        "entity": {ent: {} for ent in sorted(graph.entities)},
-        "activity": {},
-        "used": {},
-        "wasGeneratedBy": {},
-        "wasDerivedFrom": {},
-        "wasInformedBy": {},
-    }
-    for act in graph.activities.values():
-        rec = {"prov:label": act.name}
+# One row per PROV relation: the ProvGraph field holding its pairs, the
+# PROV-JSON section, the record id prefix, and the keys of the pair's two items.
+_RELATIONS = (
+    ("used", "used", "u", "prov:activity", "prov:entity"),
+    ("was_generated_by", "wasGeneratedBy", "g", "prov:entity", "prov:activity"),
+    ("was_derived_from", "wasDerivedFrom", "d", "prov:generatedEntity", "prov:usedEntity"),
+    ("was_informed_by", "wasInformedBy", "i", "prov:informed", "prov:informant"),
+)
+
+
+def _write_prov_json(graph: ProvGraph, write) -> None:
+    """Pass ``graph`` to ``write`` as compact PROV-JSON, a fragment at a time:
+    the text ``json.dumps(..., ensure_ascii=False)`` gives, with entities sorted,
+    records numbered from 1 in each graph and sub-graphs nested as ``members``."""
+    quote = json.encoder.encode_basestring
+    write('{"entity": {')
+    write(", ".join(f"{quote(ent)}: {{}}" for ent in sorted(graph.entities)))
+    write('}, "activity": {')
+    for n, act in enumerate(graph.activities.values()):
+        write(f'{", " if n else ""}{quote(act.id)}: {{"prov:label": {quote(act.name)}')
         if act.config:
-            rec["config"] = act.config
+            write(', "config": ' + json.dumps(act.config, ensure_ascii=False))
         if act.composite:
-            rec["composite"] = True
+            write(', "composite": true')
         if act.id in graph.sub_graphs:
-            rec["members"] = _graph_to_dict(graph.sub_graphs[act.id])
-        doc["activity"][act.id] = rec
-    for i, (act, ent) in enumerate(graph.used, 1):
-        doc["used"][f"u{i}"] = {"prov:activity": act, "prov:entity": ent}
-    for i, (ent, act) in enumerate(graph.was_generated_by, 1):
-        doc["wasGeneratedBy"][f"g{i}"] = {"prov:entity": ent, "prov:activity": act}
-    for i, (gen, src) in enumerate(graph.was_derived_from, 1):
-        doc["wasDerivedFrom"][f"d{i}"] = {
-            "prov:generatedEntity": gen,
-            "prov:usedEntity": src,
-        }
-    for i, (informed, informant) in enumerate(graph.was_informed_by, 1):
-        doc["wasInformedBy"][f"i{i}"] = {
-            "prov:informed": informed,
-            "prov:informant": informant,
-        }
-    return doc
+            write(', "members": ')
+            _write_prov_json(graph.sub_graphs[act.id], write)
+        write("}")
+    write("}")
+    for field_name, section, prefix, first, second in _RELATIONS:
+        write(f', "{section}": {{')
+        write(", ".join(
+            f'"{prefix}{i}": {{"{first}": {quote(a)}, "{second}": {quote(b)}}}'
+            for i, (a, b) in enumerate(getattr(graph, field_name), 1)
+        ))
+        write("}")
+    write("}")
+
+
+def _expect(value, kind: type, what: str):
+    if not isinstance(value, kind):
+        raise MalformedJsonError(f"{what} must be a JSON {'object' if kind is dict else 'string'}")
+    return value
 
 
 def _graph_from_dict(doc: dict) -> ProvGraph:
     graph = ProvGraph()
-    graph.entities = set(doc.get("entity", {}))
-    for act_id, rec in doc.get("activity", {}).items():
+    graph.entities = set(_expect(doc.get("entity", {}), dict, "section 'entity'"))
+    for act_id, rec in _expect(doc.get("activity", {}), dict, "section 'activity'").items():
+        rec = _expect(rec, dict, f"activity {act_id!r}")
         graph.activities[act_id] = Activity(
             act_id,
-            rec.get("prov:label", ""),
-            dict(rec.get("config", {})),
+            _expect(rec.get("prov:label", ""), str, f"prov:label of activity {act_id!r}"),
+            dict(_expect(rec.get("config", {}), dict, f"config of activity {act_id!r}")),
             composite=bool(rec.get("composite")),
         )
         if "members" in rec:
-            graph.sub_graphs[act_id] = _graph_from_dict(rec["members"])
-    for rec in doc.get("used", {}).values():
-        graph.used.append((rec["prov:activity"], rec["prov:entity"]))
-    for rec in doc.get("wasGeneratedBy", {}).values():
-        graph.was_generated_by.append((rec["prov:entity"], rec["prov:activity"]))
-    for rec in doc.get("wasDerivedFrom", {}).values():
-        graph.was_derived_from.append(
-            (rec["prov:generatedEntity"], rec["prov:usedEntity"])
-        )
-    for rec in doc.get("wasInformedBy", {}).values():
-        graph.was_informed_by.append((rec["prov:informed"], rec["prov:informant"]))
+            members = _expect(rec["members"], dict, f"members of activity {act_id!r}")
+            graph.sub_graphs[act_id] = _graph_from_dict(members)
+    for field_name, section, _, first, second in _RELATIONS:
+        pairs = getattr(graph, field_name)
+        for rec_id, rec in _expect(doc.get(section, {}), dict, f"section {section!r}").items():
+            where = f"{section} record {rec_id!r}"
+            rec = _expect(rec, dict, where)
+            pairs.append(tuple(_expect(rec.get(k), str, f"{k} of {where}") for k in (first, second)))
     return graph
 
 
-def _graph_to_dot(graph: ProvGraph, lines=None) -> str:
-    top = lines is None
-    if top:
-        lines = ["digraph provenance {"]
+def _write_dot(graph: ProvGraph, write) -> None:
     for ent in sorted(graph.entities):
-        lines.append(f'  "{ent}" [shape=ellipse];')
+        write(f'  "{ent}" [shape=ellipse];\n')
     for act in graph.activities.values():
-        lines.append(f'  "{act.id}" [shape=box, label="{act.name}"];')
-    for act, ent in graph.used:
-        lines.append(f'  "{act}" -> "{ent}" [label="used"];')
-    for ent, act in graph.was_generated_by:
-        lines.append(f'  "{ent}" -> "{act}" [label="wasGeneratedBy"];')
-    for gen, src in graph.was_derived_from:
-        lines.append(f'  "{gen}" -> "{src}" [label="wasDerivedFrom"];')
-    for informed, informant in graph.was_informed_by:
-        lines.append(f'  "{informed}" -> "{informant}" [label="wasInformedBy"];')
+        write(f'  "{act.id}" [shape=box, label="{act.name}"];\n')
+    for field_name, section, *_ in _RELATIONS:
+        for a, b in getattr(graph, field_name):
+            write(f'  "{a}" -> "{b}" [label="{section}"];\n')
     for sub in graph.sub_graphs.values():
-        _graph_to_dot(sub, lines)
-    if top:
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-    return ""
+        _write_dot(sub, write)
 
 
 def export_prov(graph: ProvGraph, format: str = "prov-json") -> str:
+    parts: list = []
     if format == "prov-json":
-        return json.dumps(_graph_to_dict(graph), ensure_ascii=False) + "\n"
-    if format == "dot":
-        return _graph_to_dot(graph)
-    raise ValueError(f"unknown provenance export format {format!r}")
+        _write_prov_json(graph, parts.append)
+    elif format == "dot":
+        parts.append("digraph provenance {\n")
+        _write_dot(graph, parts.append)
+        parts.append("}")
+    else:
+        raise ValueError(f"unknown provenance export format {format!r}")
+    parts.append("\n")
+    return "".join(parts)
 
 
 def parse_prov_json(text: str) -> ProvGraph:
     """Inverse of export_prov(graph, 'prov-json')."""
-    return _graph_from_dict(json.loads(text))
+    return _graph_from_dict(_expect(json.loads(text), dict, "PROV-JSON document"))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import json
 import random
 import re
 import unicodedata
@@ -776,3 +777,105 @@ def expected_derivations(plan, env: dict) -> list:
         else:
             expected.append((step.op_name, _item_step_derivations(registered, op, args, outs)))
     return expected
+
+
+# The PROV-JSON and DOT codec as it was before the writer streamed straight
+# from the graph: a dict tree passed to json.dumps, and one loop per relation.
+# The writer, the reader and the DOT export must match it byte for byte.
+
+
+def frozen_graph_to_dict(graph: ProvGraph) -> dict:
+    doc = {
+        "entity": {ent: {} for ent in sorted(graph.entities)},
+        "activity": {},
+        "used": {},
+        "wasGeneratedBy": {},
+        "wasDerivedFrom": {},
+        "wasInformedBy": {},
+    }
+    for act in graph.activities.values():
+        rec = {"prov:label": act.name}
+        if act.config:
+            rec["config"] = act.config
+        if act.composite:
+            rec["composite"] = True
+        if act.id in graph.sub_graphs:
+            rec["members"] = frozen_graph_to_dict(graph.sub_graphs[act.id])
+        doc["activity"][act.id] = rec
+    for i, (act, ent) in enumerate(graph.used, 1):
+        doc["used"][f"u{i}"] = {"prov:activity": act, "prov:entity": ent}
+    for i, (ent, act) in enumerate(graph.was_generated_by, 1):
+        doc["wasGeneratedBy"][f"g{i}"] = {"prov:entity": ent, "prov:activity": act}
+    for i, (gen, src) in enumerate(graph.was_derived_from, 1):
+        doc["wasDerivedFrom"][f"d{i}"] = {
+            "prov:generatedEntity": gen,
+            "prov:usedEntity": src,
+        }
+    for i, (informed, informant) in enumerate(graph.was_informed_by, 1):
+        doc["wasInformedBy"][f"i{i}"] = {
+            "prov:informed": informed,
+            "prov:informant": informant,
+        }
+    return doc
+
+
+def frozen_graph_from_dict(doc: dict) -> ProvGraph:
+    graph = ProvGraph()
+    graph.entities = set(doc.get("entity", {}))
+    for act_id, rec in doc.get("activity", {}).items():
+        graph.activities[act_id] = Activity(
+            act_id,
+            rec.get("prov:label", ""),
+            dict(rec.get("config", {})),
+            composite=bool(rec.get("composite")),
+        )
+        if "members" in rec:
+            graph.sub_graphs[act_id] = frozen_graph_from_dict(rec["members"])
+    for rec in doc.get("used", {}).values():
+        graph.used.append((rec["prov:activity"], rec["prov:entity"]))
+    for rec in doc.get("wasGeneratedBy", {}).values():
+        graph.was_generated_by.append((rec["prov:entity"], rec["prov:activity"]))
+    for rec in doc.get("wasDerivedFrom", {}).values():
+        graph.was_derived_from.append(
+            (rec["prov:generatedEntity"], rec["prov:usedEntity"])
+        )
+    for rec in doc.get("wasInformedBy", {}).values():
+        graph.was_informed_by.append((rec["prov:informed"], rec["prov:informant"]))
+    return graph
+
+
+def frozen_graph_to_dot(graph: ProvGraph, lines=None) -> str:
+    top = lines is None
+    if top:
+        lines = ["digraph provenance {"]
+    for ent in sorted(graph.entities):
+        lines.append(f'  "{ent}" [shape=ellipse];')
+    for act in graph.activities.values():
+        lines.append(f'  "{act.id}" [shape=box, label="{act.name}"];')
+    for act, ent in graph.used:
+        lines.append(f'  "{act}" -> "{ent}" [label="used"];')
+    for ent, act in graph.was_generated_by:
+        lines.append(f'  "{ent}" -> "{act}" [label="wasGeneratedBy"];')
+    for gen, src in graph.was_derived_from:
+        lines.append(f'  "{gen}" -> "{src}" [label="wasDerivedFrom"];')
+    for informed, informant in graph.was_informed_by:
+        lines.append(f'  "{informed}" -> "{informant}" [label="wasInformedBy"];')
+    for sub in graph.sub_graphs.values():
+        frozen_graph_to_dot(sub, lines)
+    if top:
+        lines.append("}")
+        return "\n".join(lines) + "\n"
+    return ""
+
+
+def frozen_export_prov(graph: ProvGraph, format: str = "prov-json") -> str:
+    if format == "prov-json":
+        return json.dumps(frozen_graph_to_dict(graph), ensure_ascii=False) + "\n"
+    if format == "dot":
+        return frozen_graph_to_dot(graph)
+    raise ValueError(f"unknown provenance export format {format!r}")
+
+
+def frozen_parse_prov_json(text: str) -> ProvGraph:
+    """Inverse of frozen_export_prov(graph, 'prov-json')."""
+    return frozen_graph_from_dict(json.loads(text))

@@ -1,13 +1,16 @@
+import itertools
 import json
 import shutil
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from annopipe import demo, ops
+from annopipe import cli, demo, ops
 from annopipe.cli import main
 from annopipe.io.textdir import load_text_documents
 from annopipe.pipeline import PipelineSpec, run_pipeline
+from annopipe.provenance import build_graph, export_prov
 from annopipe.textops import DEFAULT_NEGATION_RULES, load_dictionary
 
 FIXTURES = Path(__file__).parent / "fixtures" / "brat"
@@ -403,3 +406,83 @@ class TestProv:
 
     def test_missing_input_exits_2(self, tmp_path, capsys):
         assert run_cli("prov", "export", "--in", tmp_path / "nope.json") == 2
+
+
+def _single_error_line(capsys):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_missing_input_dir_exits_2(tmp_path, capsys):
+    code = run_cli(
+        "run",
+        "--pipeline", demo.pipeline_path("drug_ner_dict"),
+        "--input-dir", tmp_path / "missing",
+        "--output-dir", tmp_path / "out",
+    )
+    assert code == 2
+    _single_error_line(capsys)
+
+
+@pytest.mark.parametrize("where", ["missing_dir/prov.json", "a_directory"])
+def test_unwritable_prov_out_exits_2_before_any_document(tmp_path, corpus, capsys, where):
+    (tmp_path / "a_directory").mkdir()
+    code = run_cli(
+        "run",
+        "--pipeline", demo.pipeline_path("drug_ner_dict"),
+        "--input-dir", corpus,
+        "--output-dir", tmp_path / "out",
+        "--prov-level", "full",
+        "--prov-out", tmp_path / where,
+    )
+    assert code == 2
+    _single_error_line(capsys)
+    assert not list(tmp_path.rglob("*.ann"))
+
+
+MALFORMED_PROV = {
+    "relation without prov:activity": {"used": {"u1": {"prov:entity": "e"}}},
+    "top-level array": [],
+    "members not an object": {"activity": {"a": {"prov:label": "x", "members": 5}}},
+}
+
+
+@pytest.mark.parametrize("doc", MALFORMED_PROV.values(), ids=MALFORMED_PROV.keys())
+def test_prov_export_of_malformed_prov_json_exits_2(tmp_path, capsys, doc):
+    path = tmp_path / "prov.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run_cli("prov", "export", "--in", path) == 2
+    _single_error_line(capsys)
+
+
+def _counted_ids(fn, *args):
+    """Call ``fn`` with uuid.uuid4 drawn from a fresh counter."""
+    counter = itertools.count()
+    with mock.patch("uuid.uuid4", lambda: f"act{next(counter)}"):
+        return fn(*args)
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_prov_out_is_export_prov_of_the_merged_trace(tmp_path, corpus, monkeypatch, workers):
+    merged = []
+
+    def build(tracer):
+        merged.append(tracer)
+        return _counted_ids(build_graph, tracer)
+
+    monkeypatch.setattr(cli, "build_graph", build)
+    prov = tmp_path / "prov.json"
+    code = run_cli(
+        "run",
+        "--pipeline", demo.pipeline_path("drug_ner_dict"),
+        "--input-dir", corpus,
+        "--output-dir", tmp_path / "out",
+        "--prov-level", "full",
+        "--prov-out", prov,
+        "--workers", workers,
+    )
+    assert code == 0 and len(merged) == 1
+    expected = export_prov(_counted_ids(build_graph, merged[0]), "prov-json")
+    assert prov.read_text(encoding="utf-8") == expected

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from annopipe.exceptions import CycleDetectedError, SelfDerivationError
+from annopipe.exceptions import CycleDetectedError, MalformedJsonError, SelfDerivationError
 from annopipe.provenance import (
+    Activity,
     OperationDescriptor,
     ProvGraph,
     Tracer,
@@ -17,7 +18,7 @@ from annopipe.provenance import (
     parse_prov_json,
 )
 
-from helpers import frozen_build_graph
+from helpers import frozen_build_graph, frozen_export_prov, frozen_parse_prov_json
 
 
 def _op(name):
@@ -331,3 +332,67 @@ class TestBuilderMatchesFrozen:
         assert list(graph.activities.items()) == list(expected.activities.items())
         assert graph == expected
         assert export_prov(graph) == export_prov(expected)
+
+
+# Characters that JSON must escape or that leave the basic plane, mixed into
+# otherwise arbitrary text.
+AWKWARD = st.one_of(
+    st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "\u2028", "😀", "\U0010fffd"]),
+    st.characters(),
+)
+NAMES = st.text(alphabet=AWKWARD, max_size=6)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | NAMES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(NAMES, inner, max_size=3),
+    max_leaves=8,
+)
+RELATIONS = ("used", "was_generated_by", "was_derived_from", "was_informed_by")
+
+
+@st.composite
+def prov_graphs(draw, depth=0):
+    """Graphs with awkward ids, labels and configs, any section possibly empty,
+    and sub-graphs nested up to 3 deep under activities."""
+    graph = ProvGraph()
+    graph.entities = draw(st.sets(NAMES, max_size=4))
+    for act_id in draw(st.lists(NAMES, max_size=2, unique=True)):
+        config = draw(st.dictionaries(NAMES, JSON_VALUES, max_size=3))
+        graph.activities[act_id] = Activity(act_id, draw(NAMES), config, draw(st.booleans()))
+        if depth < 3 and draw(st.booleans()):
+            graph.sub_graphs[act_id] = draw(prov_graphs(depth + 1))
+    for name in RELATIONS:
+        setattr(graph, name, draw(st.lists(st.tuples(NAMES, NAMES), max_size=4)))
+    return graph
+
+
+class TestCodecMatchesFrozen:
+    @settings(max_examples=200, deadline=None)
+    @given(graph=prov_graphs())
+    def test_same_bytes_and_graph_as_frozen_codec(self, graph):
+        text = export_prov(graph, "prov-json")
+        assert text == frozen_export_prov(graph, "prov-json")
+        assert export_prov(graph, "dot") == frozen_export_prov(graph, "dot")
+        assert parse_prov_json(text) == frozen_parse_prov_json(text)
+
+
+MALFORMED = {
+    "relation without prov:activity": {"used": {"u1": {"prov:entity": "e"}}},
+    "top-level array": [],
+    "members not an object": {"activity": {"a": {"prov:label": "x", "members": 5}}},
+    "section not an object": {"wasGeneratedBy": ["g1"]},
+    "record not an object": {"wasInformedBy": {"i1": "a"}},
+    "id not a string": {"wasDerivedFrom": {"d1": {"prov:generatedEntity": 1, "prov:usedEntity": "e"}}},
+    "label not a string": {"activity": {"a": {"prov:label": 7}}},
+    "config not an object": {"activity": {"a": {"prov:label": "x", "config": 5}}},
+}
+
+
+@pytest.mark.parametrize("doc", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_prov_json_raises(doc):
+    with pytest.raises(MalformedJsonError):
+        parse_prov_json(json.dumps(doc))
+
+
+def test_malformed_relation_names_section_and_record():
+    with pytest.raises(MalformedJsonError, match="prov:activity of used record 'u1'"):
+        parse_prov_json(json.dumps(MALFORMED["relation without prov:activity"]))
