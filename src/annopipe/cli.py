@@ -24,7 +24,7 @@ from .evaluation import (
     merge_metrics,
     metrics_to_dict,
 )
-from .exceptions import AnnopipeError, ConfigError, MissingCounterpartError
+from .exceptions import AnnopipeError, ConfigError, MalformedJsonError, MissingCounterpartError
 from .io.brat import emit_brat, parse_brat
 from .io.doccano import emit_doccano_jsonl, parse_doccano_jsonl
 from .io.docjson import parse_document_json, serialize_document_json
@@ -130,9 +130,18 @@ def cmd_run(args) -> int:
     return 1 if failures else 0
 
 
+def _directory(path: str) -> Path:
+    """``path`` as a directory; ConfigError when there is none there."""
+    path = Path(path)
+    if not path.is_dir():
+        raise ConfigError(f"no such directory: {path}")
+    return path
+
+
 def _load_corpus(fmt: str, path: str) -> list[tuple[str, Document]]:
     """(stem, document) pairs with annotations attached."""
-    path = Path(path)
+    if fmt in ("brat", "json"):
+        path = _directory(path)
     if fmt == "brat":
         pairs = []
         for txt in sorted(path.glob("*.txt")):
@@ -145,16 +154,25 @@ def _load_corpus(fmt: str, path: str) -> list[tuple[str, Document]]:
         return pairs
     if fmt == "doccano":
         pairs = []
-        lines = path.read_text(encoding="utf-8").splitlines()
-        for i, line in enumerate(l for l in lines if l.strip()):
-            doc, _ = parse_doccano_jsonl(line)
-            pairs.append((f"doc_{i + 1:04d}", doc))
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        for line_no, line in enumerate(lines, 1):
+            if not line.strip():
+                continue
+            try:
+                doc, _ = parse_doccano_jsonl(line)
+            except MalformedJsonError as exc:
+                raise MalformedJsonError(f"{path}, line {line_no}: {exc}") from exc
+            pairs.append((f"doc_{len(pairs) + 1:04d}", doc))
         return pairs
     if fmt == "json":
-        return [
-            (f.stem, parse_document_json(f.read_text(encoding="utf-8")))
-            for f in sorted(path.glob("*.json"))
-        ]
+        pairs = []
+        for file in sorted(path.glob("*.json")):
+            try:
+                doc = parse_document_json(file.read_text(encoding="utf-8"))
+            except MalformedJsonError as exc:
+                raise MalformedJsonError(f"{file}: {exc}") from exc
+            pairs.append((file.stem, doc))
+        return pairs
     raise ConfigError(f"unknown input format {fmt!r}")
 
 
@@ -189,7 +207,7 @@ def cmd_convert(args) -> int:
     try:
         pairs = _load_corpus(args.in_format, args.in_path)
         _write_corpus(args.out_format, args.out_path, pairs)
-    except AnnopipeError as exc:
+    except (OSError, AnnopipeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0
@@ -206,8 +224,8 @@ def _load_ann_entities(directory: Path) -> dict[str, list[Entity]]:
 
 
 def _eval_dirs(pred_dir: str, ref_dir: str, spec: MatchSpec):
-    pred = _load_ann_entities(Path(pred_dir))
-    ref = _load_ann_entities(Path(ref_dir))
+    pred = _load_ann_entities(_directory(pred_dir))
+    ref = _load_ann_entities(_directory(ref_dir))
     for stem in sorted(set(pred) - set(ref)):
         raise MissingCounterpartError(stem, pred_dir)
     for stem in sorted(set(ref) - set(pred)):

@@ -25,16 +25,23 @@ def parse_doccano_jsonl(line: str) -> tuple[Document, list[Entity]]:
     if not isinstance(obj, dict) or "text" not in obj:
         raise MalformedJsonError('missing "text" key')
     text = obj["text"]
+    if not isinstance(text, str):
+        raise MalformedJsonError('"text" must be a string')
     labels = obj.get("label", [])
     if "label" in obj and not isinstance(labels, list):
         raise MalformedJsonError('"label" must be a list')
     doc = create_document(text)
     entities = []
-    for triple in labels:
+    for index, triple in enumerate(labels):
         try:
             start, end, label = triple
         except (TypeError, ValueError) as exc:
-            raise MalformedJsonError(f"bad label triple {triple!r}") from exc
+            raise MalformedJsonError(f"label {index}: bad label triple {triple!r}") from exc
+        offsets_ok = type(start) is int and type(end) is int
+        if not (offsets_ok and isinstance(label, str) and label):
+            raise MalformedJsonError(
+                f"label {index}: {triple!r} needs int offsets and a non-empty string label"
+            )
         if start < 0 or end > len(text) or start > end:
             raise OutOfBoundsError(
                 f"label span ({start}, {end}) out of bounds for length {len(text)}"

@@ -19,12 +19,27 @@ def _span_to_obj(span: AnySpan) -> dict:
     return {"len": span.length, "replaced": [{"s": r.start, "e": r.end} for r in span.replaced]}
 
 
+def _int(obj: dict, key: str) -> int:
+    value = obj[key]
+    if type(value) is not int:
+        raise TypeError(f"{key!r} must be an integer, not {value!r}")
+    return value
+
+
+def _str(obj: dict, key: str) -> str:
+    value = obj[key]
+    if not isinstance(value, str):
+        raise TypeError(f"{key!r} must be a string, not {value!r}")
+    return value
+
+
 def _span_from_obj(obj: dict) -> AnySpan:
     if "len" in obj:
         return ModifiedSpan(
-            obj["len"], tuple(Span(r["s"], r["e"]) for r in obj.get("replaced", []))
+            _int(obj, "len"),
+            tuple(Span(_int(r, "s"), _int(r, "e")) for r in obj.get("replaced", [])),
         )
-    return Span(obj["s"], obj["e"])
+    return Span(_int(obj, "s"), _int(obj, "e"))
 
 
 def _attr_to_obj(attr: Attribute) -> dict:
@@ -54,9 +69,9 @@ def _ann_to_obj(ann: Annotation) -> dict:
 def _ann_from_obj(obj: dict) -> Annotation:
     common = dict(
         id=obj["id"],
-        label=obj["label"],
+        label=_str(obj, "label"),
         attributes=[
-            Attribute(id=a["id"], label=a["label"], value=a["value"])
+            Attribute(id=a["id"], label=_str(a, "label"), value=a["value"])
             for a in obj.get("attributes", [])
         ],
         metadata=obj.get("metadata", {}),
@@ -65,7 +80,7 @@ def _ann_from_obj(obj: dict) -> Annotation:
     if kind in ("segment", "entity"):
         cls = Entity if kind == "entity" else Segment
         return cls(
-            text=obj["text"],
+            text=_str(obj, "text"),
             spans=[_span_from_obj(s) for s in obj["spans"]],
             **common,
         )
@@ -91,9 +106,20 @@ def parse_document_json(text: str) -> Document:
         raise MalformedJsonError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict) or "text" not in obj:
         raise MalformedJsonError('missing "text" key')
+    if not isinstance(obj["text"], str):
+        raise MalformedJsonError('"text" must be a string')
+    annotations = obj.get("annotations", [])
+    if not isinstance(annotations, list):
+        raise MalformedJsonError('"annotations" must be a list')
     doc = Document(text=obj["text"], metadata=obj.get("metadata", {}))
     if obj.get("id"):
         doc.id = obj["id"]
-    for ann_obj in obj.get("annotations", []):
-        doc.attach(_ann_from_obj(ann_obj))
+    for index, ann_obj in enumerate(annotations):
+        try:
+            ann = _ann_from_obj(ann_obj)
+        except KeyError as exc:
+            raise MalformedJsonError(f"annotation {index}: missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise MalformedJsonError(f"annotation {index}: {exc}") from exc
+        doc.attach(ann)
     return doc

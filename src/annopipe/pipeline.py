@@ -6,14 +6,16 @@ once, giving a ``Plan`` that runs over any number of inputs. A spec can
 itself be registered as an operation and nested inside another pipeline,
 appearing as one composite activity in provenance.
 
-Data slots hold a single value or a homogeneous list. Operations registered
-in "item" mode are mapped over list slots (list results are concatenated);
-"batch" operations receive slot values as-is.
+Data slots hold a single value or a homogeneous list. One runner runs every
+step: an "item" operation once per index of its list slots (a non-list slot
+goes whole to every call; list results are concatenated), a "batch"
+operation once on the slot values as-is.
 
-A traced step records which of its outputs derive from which of its inputs:
-an item-mode step derives what each call made from what that call took, a
-batch step from what its registered ``lineage`` function names, and a batch
-step registered without one derives every output from every input.
+A traced run states lineage in the same pass: an item-mode step derives what
+each call made from what that call took, a batch step from what its
+registered ``lineage`` function names (every output from every input without
+one), and a step that made nothing records one stand-in item derived from all
+it took. A run without a tracer, or at level NONE, does no provenance work.
 """
 
 from __future__ import annotations
@@ -302,78 +304,72 @@ def compile_pipeline(
     return Plan(spec, tuple(steps))
 
 
-def _run_mapped(
-    registered: _Registered, op: Callable, args: list, calls: Optional[list] = None
-) -> tuple:
-    """Execute an operation, mapping item-mode operations over list slots.
+def _run_step(
+    registered: _Registered, op: Callable, args: list, minted: Optional[dict]
+) -> tuple[tuple, Optional[tuple[list, list, Optional[list]]]]:
+    """Run one step's operation; return its outputs and, if traced, its lineage.
 
-    Returns the step's outputs, one value per output slot. Given a list as
-    ``calls``, an item-mode operation appends, for each call it makes, the
-    items that call made per output slot.
+    Without ``minted`` the step is not traced and its lineage is None;
+    otherwise it is the step's source ids, output ids and (output, source)
+    id pairs, or None for pairs when a batch step declares no lineage.
     """
-    if registered.mode == "batch" or not any(isinstance(a, list) for a in args):
-        result = op(*args)
-        outputs = result if registered.n_outputs > 1 else (result,)
-        if calls is not None:
-            calls.append([_items(o) for o in outputs])
-        return outputs
-
-    list_lengths = {len(a) for a in args if isinstance(a, list)}
-    if len(list_lengths) > 1:
-        raise ValueError("item-mode operation got list inputs of different lengths")
-    n = list_lengths.pop()
-    per_item = [
-        op(*[a[i] if isinstance(a, list) else a for a in args]) for i in range(n)
-    ]
+    mapped = registered.mode == "item" and any(isinstance(a, list) for a in args)
+    calls = [args]
+    if mapped:
+        list_lengths = {len(a) for a in args if isinstance(a, list)}
+        if len(list_lengths) > 1:
+            raise ValueError("item-mode operation got list inputs of different lengths")
+        calls = [
+            [a[i] if isinstance(a, list) else a for a in args]
+            for i in range(list_lengths.pop())
+        ]
+    results = [op(*call) for call in calls]
     if registered.n_outputs == 1:
-        per_item = [(r,) for r in per_item]
-    outputs = []
-    slot_items = []  # per output slot, the items each call made
-    for pos in range(registered.n_outputs):
-        results = [r[pos] for r in per_item]
-        # Concatenate per-item list results, otherwise collect into a list.
-        concatenated = bool(results) and all(isinstance(r, list) for r in results)
-        outputs.append([x for r in results for x in r] if concatenated else results)
-        if calls is not None:
-            slot_items.append(results if concatenated else [[r] for r in results])
-    if calls is not None:
-        calls.extend(zip(*slot_items))
-    return tuple(outputs)
+        results = [(r,) for r in results]
+    if mapped:
+        outputs, split = [], []  # split: each call made a list of items
+        for pos in range(registered.n_outputs):
+            slot = [r[pos] for r in results]
+            concatenated = bool(slot) and all(isinstance(r, list) for r in slot)
+            outputs.append([x for r in slot for x in r] if concatenated else slot)
+            split.append(concatenated)
+        outputs = tuple(outputs)
+    else:
+        outputs = results[0]
+        split = [isinstance(o, list) for o in outputs]
+    if minted is None:
+        return outputs, None
 
-
-def _lineage(
-    args: list, outputs: tuple, calls: Optional[list], lineage: Optional[Lineage], minted: dict
-) -> tuple[list, list, Optional[list]]:
-    """Source ids, output ids and (output, source) id pairs of one step.
-
-    The pairs come from ``calls`` for an item-mode step and from ``lineage``,
-    the registered lineage function, for a batch step. They are None when
-    there is neither.
-    """
     arg_ids = [[_source_id(minted, item) for item in _items(a)] for a in args]
     source_ids = [i for ids in arg_ids for i in ids]
-    if calls is None:
-        output_ids = [_output_id(minted, item) for o in outputs for item in _items(o)]
-        pairs = None
-        if lineage is not None:
-            # Outputs already have their ids, so both sides are looked up.
-            pairs = [
-                (_source_id(minted, out), _source_id(minted, src))
-                for out, src in lineage(args, outputs)
-            ]
-        return source_ids, output_ids, pairs
-    per_slot = [[] for _ in outputs]
+    batch = registered.mode == "batch"
+    per_slot = [[] for _ in split]
     pairs = []
-    for i, made in enumerate(calls):
-        took = dict.fromkeys(
+    for i, result in enumerate(results):
+        took = () if batch else dict.fromkeys(
             ids[i] if isinstance(a, list) else ids[0] for a, ids in zip(args, arg_ids)
         )
-        for slot_ids, items in zip(per_slot, made):
-            for item in items:
+        for made, is_list, slot_ids in zip(result, split, per_slot):
+            for item in made if is_list else (made,):
                 out = _output_id(minted, item)
                 slot_ids.append(out)
                 pairs.extend((out, src) for src in took)
-    return source_ids, [i for ids in per_slot for i in ids], pairs
+    output_ids = [i for ids in per_slot for i in ids]
+    if batch:
+        pairs = None
+        if registered.lineage is not None:
+            # Outputs already have their ids, so both sides are looked up.
+            pairs = [
+                (_source_id(minted, out), _source_id(minted, src))
+                for out, src in registered.lineage(args, outputs)
+            ]
+    if not output_ids:
+        # The step made nothing; an id stands for its empty result, derived
+        # from everything the step took.
+        output_ids = [new_id()]
+        if pairs is not None:
+            pairs = [(output_ids[0], s) for s in dict.fromkeys(source_ids)]
+    return outputs, (source_ids, output_ids, pairs)
 
 
 def run_pipeline(
@@ -388,30 +384,31 @@ def run_pipeline(
     many inputs, compile it once with ``compile_pipeline`` and pass the plan.
     """
     plan = pipeline if isinstance(pipeline, Plan) else compile_pipeline(pipeline, registry)
-    return _execute(plan, inputs, tracer, None, {})
+    traced = tracer is not None and tracer.level != VerbosityLevel.NONE
+    return _execute(plan, inputs, tracer, None, {} if traced else None)
 
 
 def _execute(
-    plan: Plan, inputs: dict, tracer: Optional[Tracer], scope: Optional[str], minted: dict
+    plan: Plan, inputs: dict, tracer: Optional[Tracer], scope: Optional[str], minted: Optional[dict]
 ) -> dict:
     """Run a plan's steps; a sub-pipeline step runs its plan in a tracer scope.
 
-    ``minted`` holds the provenance ids of the run's id-less items; a
-    sub-pipeline shares it with the pipeline that runs it.
+    ``minted`` holds the provenance ids of the run's id-less items, and is
+    None when the run is not traced: then no step mints an id or records
+    anything. A sub-pipeline shares it with the pipeline that runs it.
     """
     for key in plan.spec.pipeline_inputs:
         if key not in inputs:
             raise MissingInputError(f"missing pipeline input {key!r}")
 
     env = dict(inputs)
-    traced = tracer is not None and tracer.level != VerbosityLevel.NONE
     for index, (step, registered, op) in enumerate(plan.steps):
         args = [env[k] for k in step.input_keys]
         try:
             if registered.plan is not None:
                 sub = registered.plan
                 sub_scope = None
-                if traced:
+                if minted is not None:
                     sub_scope = tracer.open_scope(
                         OperationDescriptor(name=sub.spec.name, config=step.params),
                         parent=scope,
@@ -420,19 +417,9 @@ def _execute(
                 result = _execute(sub, sub_inputs, tracer, sub_scope, minted)
                 outputs = tuple(result[k] for k in sub.spec.pipeline_outputs)
             else:
-                calls = [] if traced and registered.mode == "item" else None
-                outputs = _run_mapped(registered, op, args, calls)
-                if tracer is not None:
-                    lineage = registered.lineage if traced else None
-                    source_ids, output_ids, pairs = _lineage(
-                        args, outputs, calls, lineage, minted
-                    )
-                    if not output_ids:
-                        # The step made nothing; an id stands for its empty
-                        # result, derived from everything the step took.
-                        output_ids = [new_id()]
-                        if pairs is not None:
-                            pairs = [(output_ids[0], s) for s in dict.fromkeys(source_ids)]
+                outputs, lineage = _run_step(registered, op, args, minted)
+                if lineage is not None:
+                    source_ids, output_ids, pairs = lineage
                     tracer.record(
                         OperationDescriptor(name=step.op_name, config=step.params),
                         sources=source_ids,

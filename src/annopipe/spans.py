@@ -77,6 +77,22 @@ def _check_ranges(ranges: Sequence[tuple[int, int]], text_length: int) -> None:
         first = False
 
 
+def _leftmost_longest(candidates: Iterable[tuple]) -> list[tuple]:
+    """The ``(start, end, ...)`` candidates kept by a leftmost-longest pick.
+
+    Candidates are taken by start, longest first; the sort is stable, so of
+    equal ranges the one listed first wins. A candidate is kept when it
+    starts at or after the end of the last one kept.
+    """
+    selected = []
+    last_end = 0
+    for candidate in sorted(candidates, key=lambda c: (c[0], c[0] - c[1])):
+        if candidate[0] >= last_end:
+            selected.append(candidate)
+            last_end = candidate[1]
+    return selected
+
+
 def _offsets(spans: Sequence[AnySpan]) -> list[int]:
     """Offset of each span in the text the chain annotates, then the total length."""
     return list(accumulate((s.length for s in spans), initial=0))

@@ -13,7 +13,7 @@ import re
 from typing import Optional
 
 from ..core import Attribute, Entity, Segment
-from ..spans import extract_each
+from ..spans import _leftmost_longest, extract_each
 
 _MONTHS_FR = {
     "janvier": 1,
@@ -66,14 +66,7 @@ def match_dates(seg: Segment) -> list[Entity]:
     for pattern, order in _DATE_PATTERNS:
         for m in pattern.finditer(seg.text):
             candidates.append((m.start(), m.end(), _normalize(m.groups(), order)))
-    candidates.sort(key=lambda c: (c[0], -(c[1] - c[0])))
-
-    selected = []
-    last_end = 0
-    for start, end, normalized in candidates:
-        if start >= last_end:
-            selected.append((start, end, normalized))
-            last_end = end
+    selected = _leftmost_longest(candidates)
 
     entities = []
     pieces = extract_each(seg.text, seg.spans, [(s, e) for s, e, _ in selected])

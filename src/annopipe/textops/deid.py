@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass
 
 from ..core import Entity, Segment
-from ..spans import extract, replace
+from ..spans import _leftmost_longest, extract, replace
 
 
 @dataclass
@@ -41,13 +41,7 @@ def deidentify(seg: Segment, rules: list[DeidRule]) -> tuple[Segment, list[Entit
         for m in rule._compiled.finditer(seg.text):
             if m.start() < m.end():
                 candidates.append((m.start(), m.end(), rule))
-    candidates.sort(key=lambda c: (c[0], -(c[1] - c[0])))
-    selected = []
-    last_end = 0
-    for start, end, rule in candidates:
-        if start >= last_end:
-            selected.append((start, end, rule))
-            last_end = end
+    selected = _leftmost_longest(candidates)
 
     entities = []
     for start, end, rule in selected:

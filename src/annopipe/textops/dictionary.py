@@ -11,7 +11,7 @@ from pathlib import Path
 from typing import NamedTuple, Optional
 
 from ..core import Attribute, Entity, Segment
-from ..spans import extract_each
+from ..spans import _leftmost_longest, extract_each
 
 
 @dataclass
@@ -168,13 +168,7 @@ def match_prepared(seg: Segment, prepared: PreparedDictionary) -> list[Entity]:
                 candidates.append((index_map[pos], index_map[end - 1] + 1, entry))
             pos = haystack.find(needle, pos + 1)
 
-    candidates.sort(key=lambda c: (c[0], -(c[1] - c[0])))
-    selected = []
-    last_end = 0
-    for start, end, entry in candidates:
-        if start >= last_end:
-            selected.append((start, end, entry))
-            last_end = end
+    selected = _leftmost_longest(candidates)
 
     entities = []
     pieces = extract_each(seg.text, seg.spans, [(s, e) for s, e, _ in selected])

@@ -9,12 +9,13 @@ import random
 import re
 import unicodedata
 import uuid
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from annopipe import spans as sp
 from annopipe.core import Attribute, Entity, Segment, new_id
 from annopipe.evaluation import MatchSpec
 from annopipe.exceptions import ArityMismatchError, InvalidRangeError, ScopeError
+from annopipe.pipeline import Lineage, _items, _output_id, _Registered, _source_id
 from annopipe.provenance import Activity, ProvGraph, Tracer, VerbosityLevel
 from annopipe.spans import Span, normalize_spans
 from annopipe.textops import ContextRuleSet
@@ -879,3 +880,104 @@ def frozen_export_prov(graph: ProvGraph, format: str = "prov-json") -> str:
 def frozen_parse_prov_json(text: str) -> ProvGraph:
     """Inverse of frozen_export_prov(graph, 'prov-json')."""
     return frozen_graph_from_dict(json.loads(text))
+
+
+# The step runner as it was before one pass ran an operation and stated its
+# lineage: _run_mapped filled a ``calls`` list that _lineage read back, and
+# _execute gave an empty step its stand-in id. Kept verbatim as the reference
+# _run_step is compared against; _items, _source_id and _output_id are the
+# pipeline's own.
+
+
+def frozen_run_mapped(
+    registered: _Registered, op: Callable, args: list, calls: Optional[list] = None
+) -> tuple:
+    """Execute an operation, mapping item-mode operations over list slots.
+
+    Returns the step's outputs, one value per output slot. Given a list as
+    ``calls``, an item-mode operation appends, for each call it makes, the
+    items that call made per output slot.
+    """
+    if registered.mode == "batch" or not any(isinstance(a, list) for a in args):
+        result = op(*args)
+        outputs = result if registered.n_outputs > 1 else (result,)
+        if calls is not None:
+            calls.append([_items(o) for o in outputs])
+        return outputs
+
+    list_lengths = {len(a) for a in args if isinstance(a, list)}
+    if len(list_lengths) > 1:
+        raise ValueError("item-mode operation got list inputs of different lengths")
+    n = list_lengths.pop()
+    per_item = [
+        op(*[a[i] if isinstance(a, list) else a for a in args]) for i in range(n)
+    ]
+    if registered.n_outputs == 1:
+        per_item = [(r,) for r in per_item]
+    outputs = []
+    slot_items = []  # per output slot, the items each call made
+    for pos in range(registered.n_outputs):
+        results = [r[pos] for r in per_item]
+        # Concatenate per-item list results, otherwise collect into a list.
+        concatenated = bool(results) and all(isinstance(r, list) for r in results)
+        outputs.append([x for r in results for x in r] if concatenated else results)
+        if calls is not None:
+            slot_items.append(results if concatenated else [[r] for r in results])
+    if calls is not None:
+        calls.extend(zip(*slot_items))
+    return tuple(outputs)
+
+
+def frozen_lineage(
+    args: list, outputs: tuple, calls: Optional[list], lineage: Optional[Lineage], minted: dict
+) -> tuple[list, list, Optional[list]]:
+    """Source ids, output ids and (output, source) id pairs of one step.
+
+    The pairs come from ``calls`` for an item-mode step and from ``lineage``,
+    the registered lineage function, for a batch step. They are None when
+    there is neither.
+    """
+    arg_ids = [[_source_id(minted, item) for item in _items(a)] for a in args]
+    source_ids = [i for ids in arg_ids for i in ids]
+    if calls is None:
+        output_ids = [_output_id(minted, item) for o in outputs for item in _items(o)]
+        pairs = None
+        if lineage is not None:
+            # Outputs already have their ids, so both sides are looked up.
+            pairs = [
+                (_source_id(minted, out), _source_id(minted, src))
+                for out, src in lineage(args, outputs)
+            ]
+        return source_ids, output_ids, pairs
+    per_slot = [[] for _ in outputs]
+    pairs = []
+    for i, made in enumerate(calls):
+        took = dict.fromkeys(
+            ids[i] if isinstance(a, list) else ids[0] for a, ids in zip(args, arg_ids)
+        )
+        for slot_ids, items in zip(per_slot, made):
+            for item in items:
+                out = _output_id(minted, item)
+                slot_ids.append(out)
+                pairs.extend((out, src) for src in took)
+    return source_ids, [i for ids in per_slot for i in ids], pairs
+
+
+def frozen_run_step(registered: _Registered, op: Callable, args: list, minted: Optional[dict]):
+    """The traced step of the frozen _execute: (outputs, lineage), lineage as
+    (source ids, output ids, pairs), or None when ``minted`` is None."""
+    traced = minted is not None
+    calls = [] if traced and registered.mode == "item" else None
+    outputs = frozen_run_mapped(registered, op, args, calls)
+    if not traced:
+        return outputs, None
+    source_ids, output_ids, pairs = frozen_lineage(
+        args, outputs, calls, registered.lineage, minted
+    )
+    if not output_ids:
+        # The step made nothing; an id stands for its empty
+        # result, derived from everything the step took.
+        output_ids = [new_id()]
+        if pairs is not None:
+            pairs = [(output_ids[0], s) for s in dict.fromkeys(source_ids)]
+    return outputs, (source_ids, output_ids, pairs)

@@ -457,6 +457,41 @@ def test_prov_export_of_malformed_prov_json_exits_2(tmp_path, capsys, doc):
     _single_error_line(capsys)
 
 
+@pytest.mark.parametrize("fmt", ["brat", "json", "doccano"])
+def test_convert_of_a_missing_input_exits_2(tmp_path, capsys, fmt):
+    code = run_cli(
+        "convert", "--in-format", fmt, "--out-format", "brat",
+        "--in", tmp_path / "missing", "--out", tmp_path / "out",
+    )
+    assert code == 2
+    _single_error_line(capsys)
+    assert not (tmp_path / "out").exists()
+
+
+def test_convert_of_a_malformed_doccano_line_exits_2(tmp_path, capsys):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text('{"text": "ab", "label": []}\n\n{"text": "ab", "label": [[0, 2, 7]]}\n')
+    code = run_cli(
+        "convert", "--in-format", "doccano", "--out-format", "json",
+        "--in", path, "--out", tmp_path / "out",
+    )
+    assert code == 2
+    _single_error_line(capsys)
+
+
+@pytest.mark.parametrize("missing", ["pred", "ref", "both"])
+def test_eval_of_a_missing_directory_exits_2(tmp_path, capsys, missing):
+    for side in ("pred", "ref"):
+        if missing not in (side, "both"):
+            (tmp_path / side).mkdir()
+            (tmp_path / side / "doc.ann").write_text("", encoding="utf-8")
+    code = run_cli("eval", "--pred-dir", tmp_path / "pred", "--ref-dir", tmp_path / "ref")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert str(tmp_path / ("ref" if missing == "ref" else "pred")) in err
+
+
 def _counted_ids(fn, *args):
     """Call ``fn`` with uuid.uuid4 drawn from a fresh counter."""
     counter = itertools.count()

@@ -48,6 +48,52 @@ class TestDoccano:
         assert obj["label"] == [[0, 7, "S"]]
 
 
+MALFORMED_DOCCANO = {
+    "text not a string": ('{"text": 5}', '"text"'),
+    "string offset": ('{"text": "abc", "label": [["a", 2, "X"]]}', "label 0"),
+    "float offset": ('{"text": "abc", "label": [[0, 1, "X"], [0.0, 2, "X"]]}', "label 1"),
+    "label not a string": ('{"text": "abc", "label": [[0, 2, 7]]}', "label 0"),
+}
+
+
+@pytest.mark.parametrize("line, where", MALFORMED_DOCCANO.values(), ids=MALFORMED_DOCCANO.keys())
+def test_malformed_doccano_record_raises_malformed_json(line, where):
+    with pytest.raises(MalformedJsonError, match=where):
+        parse_doccano_jsonl(line)
+
+
+def _break_first_annotation(obj, key, value):
+    if value is None:
+        del obj["annotations"][0][key]
+    else:
+        obj["annotations"][0][key] = value
+
+
+MALFORMED_DOCJSON = {
+    "text not a string": (lambda obj: obj.update(text=5), '"text"'),
+    "annotations not a list": (lambda obj: obj.update(annotations=5), '"annotations"'),
+    "annotation without label": (
+        lambda obj: _break_first_annotation(obj, "label", None), "annotation 0: missing key 'label'"
+    ),
+    "label not a string": (lambda obj: _break_first_annotation(obj, "label", 3), "annotation 0"),
+    "span without end": (lambda obj: _break_first_annotation(obj, "spans", [{"s": 0}]), "annotation 0"),
+    "string offset": (
+        lambda obj: _break_first_annotation(obj, "spans", [{"s": "0", "e": 11}]), "annotation 0"
+    ),
+    "annotation not an object": (lambda obj: obj.update(annotations=[[]]), "annotation 0"),
+}
+
+
+@pytest.mark.parametrize("breakage, where", MALFORMED_DOCJSON.values(), ids=MALFORMED_DOCJSON.keys())
+def test_malformed_document_json_raises_malformed_json(breakage, where):
+    doc = create_document("Hello world")
+    doc.attach(Segment(label="sent", text="Hello world", spans=[Span(0, 11)]))
+    obj = json.loads(serialize_document_json(doc))
+    breakage(obj)
+    with pytest.raises(MalformedJsonError, match=where):
+        parse_document_json(json.dumps(obj))
+
+
 class TestDocumentJson:
     def _sample(self):
         doc = create_document("Hello world", {"filename": "a.txt"})

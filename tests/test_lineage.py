@@ -2,10 +2,11 @@
 
 import itertools
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from annopipe import demo
+from annopipe import demo, pipeline
 from annopipe.core import create_document
 from annopipe.exceptions import CycleDetectedError
 from annopipe.io.textdir import load_text_documents
@@ -25,7 +26,7 @@ from annopipe.provenance import (
 )
 from annopipe.textops import DEFAULT_NEGATION_RULES
 
-from helpers import expected_derivations, frozen_descendant_scopes
+from helpers import entity_fingerprint, expected_derivations, frozen_descendant_scopes
 
 DEID_RULES = [
     {"pattern": r"\b\d{2}/\d{2}/\d{4}\b", "placeholder": "[DATE]"},
@@ -124,6 +125,32 @@ class TestRecordedPairsMatchOracle:
         env = run_pipeline(_flat_plan(), {"doc": doc}, tracer=tracer)
         deid = next(rec for rec in tracer._records if rec.op.name == "deidentify")
         assert deid.sources == [s.id for s in env["sentences"]]
+
+
+def _shape(value):
+    """Run outputs with each segment replaced by its id-free fingerprint."""
+    if isinstance(value, dict):
+        return {key: _shape(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_shape(v) for v in value]
+    return entity_fingerprint(value) if hasattr(value, "spans") else value
+
+
+@pytest.mark.parametrize("make_plan", [_flat_plan, _nested_plan])
+def test_none_tracer_does_no_provenance_work(make_plan, monkeypatch):
+    """A NONE tracer records nothing, builds no descriptor and mints no id."""
+    plan = make_plan()
+    docs = load_text_documents(demo.corpus_dir())
+    untraced = [_shape(run_pipeline(plan, {"doc": doc})) for doc in docs]
+    work = []
+    monkeypatch.setattr(Tracer, "record", lambda *a, **k: work.append("record"))
+    monkeypatch.setattr(Tracer, "open_scope", lambda *a, **k: work.append("scope"))
+    monkeypatch.setattr(pipeline, "OperationDescriptor", lambda *a, **k: work.append("op"))
+    monkeypatch.setattr(pipeline, "new_id", lambda: work.append("id"))
+    tracer = Tracer(VerbosityLevel.NONE)
+    traced = [_shape(run_pipeline(plan, {"doc": doc}, tracer=tracer)) for doc in docs]
+    assert work == []
+    assert traced == untraced
 
 
 def _long_note(size=36_000):

@@ -1,4 +1,12 @@
+import itertools
+from dataclasses import dataclass
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import helpers
 
 from annopipe.exceptions import (
     ConfigError,
@@ -8,6 +16,8 @@ from annopipe.exceptions import (
 )
 from annopipe.pipeline import (
     OperationRegistry,
+    _Registered,
+    _run_step,
     PipelineSpec,
     PipelineStep,
     as_operation,
@@ -399,3 +409,112 @@ class TestBatchLineage:
     def test_only_batch_operations_declare_lineage(self):
         with pytest.raises(ValueError):
             OperationRegistry().register("f", lambda params: len, lineage=lambda a, o: [])
+
+
+@dataclass
+class Rec:
+    """An item with a string id, compared by value."""
+
+    id: str
+
+
+# One entry per output slot: ("list", k, kind) makes k new items, ("one",
+# kind) one item; kind "echo" passes the call's first input item through.
+SLOT_RESULTS = st.one_of(
+    st.tuples(st.just("list"), st.integers(0, 2), st.sampled_from(["rec", "str", "int", "echo"])),
+    st.tuples(st.just("one"), st.sampled_from(["rec", "str", "int", "echo"])),
+)
+ATOMS = st.one_of(
+    st.builds(Rec, st.sampled_from(["a", "b", "c"])),
+    st.text(max_size=2),
+    st.integers(-3, 300),
+)
+
+
+def _make_op(script, n_outputs):
+    """A fresh op: call ``c`` makes, per slot, what ``script[c % len(script)]`` says."""
+    counter = itertools.count()
+
+    def make(kind, call, pos, j, first):
+        if kind == "echo":
+            return first
+        if kind == "rec":
+            return Rec(f"o{call}.{pos}.{j}")
+        if kind == "str":
+            return f"s{call}.{pos}.{j}"
+        return call * 10 + j  # small ints are shared objects
+
+    def op(*args):
+        call = next(counter)
+        first = args[0][0] if isinstance(args[0], list) and args[0] else args[0]
+        result = []
+        for pos, spec in enumerate(script[call % len(script)][:n_outputs]):
+            if spec[0] == "list":
+                result.append([make(spec[2], call, pos, j, first) for j in range(spec[1])])
+            else:
+                result.append(make(spec[1], call, pos, 0, first))
+        return tuple(result) if n_outputs > 1 else result[0]
+
+    return op
+
+
+def _flat(value):
+    return value if isinstance(value, list) else [value]
+
+
+def _cyclic_lineage(args, outputs):
+    """Output item k derives from input item k, cycling over the inputs."""
+    sources = [x for a in args for x in _flat(a)]
+    made = [x for o in outputs for x in _flat(o)]
+    return [(out, sources[k % len(sources)]) for k, out in enumerate(made)] if sources else []
+
+
+@st.composite
+def generated_steps(draw):
+    """(registered, script, args): item or batch, 1-3 slots, list/empty/broadcast args."""
+    mode = draw(st.sampled_from(["item", "batch"]))
+    n_outputs = draw(st.integers(1, 3))
+    lineage = None
+    if mode == "batch" and draw(st.booleans()):
+        lineage = _cyclic_lineage
+    length = draw(st.integers(0, 3))
+    args = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["list", "list", "empty", "broadcast", "ragged"]))
+        if kind == "broadcast":
+            args.append(draw(ATOMS))
+        else:
+            size = {"list": length, "empty": 0, "ragged": draw(st.integers(0, 3))}[kind]
+            args.append(draw(st.lists(ATOMS, min_size=size, max_size=size)))
+    script = draw(st.lists(st.lists(SLOT_RESULTS, min_size=3, max_size=3), min_size=1, max_size=3))
+    registered = _Registered(None, len(args), n_outputs, mode, lineage=lineage)
+    return registered, script, args
+
+
+def _run_counted(runner, registered, script, args, traced):
+    """Run one step with provenance ids drawn from a fresh counter."""
+    counter = itertools.count()
+    minted = {} if traced else None
+
+    def new_id():
+        return f"id{next(counter)}"
+
+    with mock.patch("annopipe.pipeline.new_id", new_id), mock.patch.object(helpers, "new_id", new_id):
+        try:
+            outputs, lineage = runner(registered, _make_op(script, registered.n_outputs), args, minted)
+        except ValueError as exc:
+            return "raised", str(exc)
+    kept = None if minted is None else sorted(item_id for _, item_id in minted.values())
+    return outputs, lineage, kept
+
+
+class TestStepRunnerMatchesFrozen:
+    @settings(max_examples=500, deadline=None)
+    @given(step=generated_steps(), traced=st.booleans())
+    def test_same_outputs_and_lineage_as_frozen_runner(self, step, traced):
+        expected = _run_counted(helpers.frozen_run_step, *step, traced)
+        assert _run_counted(_run_step, *step, traced) == expected
+
+    def test_untraced_step_has_no_lineage(self):
+        registered = _Registered(None, 1, 1, "item")
+        assert _run_step(registered, lambda x: [x, x], [[1, 2]], None) == (([1, 1, 2, 2],), None)
