@@ -1,7 +1,9 @@
 """Command-line front end: run pipelines, convert formats, evaluate, export provenance.
 
 Exit codes: 0 success, 1 partial failure (some documents failed), 2 config
-or usage error.
+or usage error. ``main`` is the one error boundary: an OSError or
+AnnopipeError from any command (a bad input, an unwritable output) becomes one
+``error:`` line and exit 2. Input files are read through ``read_utf8``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import ops  # noqa: F401  (register builtin operations)
-from .core import Annotation, Document, Entity, Segment
+from .core import Annotation, Document, Entity
 from .evaluation import (
     MatchSpec,
     compare_runs,
@@ -28,7 +30,7 @@ from .exceptions import AnnopipeError, ConfigError, MalformedJsonError, MissingC
 from .io.brat import emit_brat, parse_brat
 from .io.doccano import emit_doccano_jsonl, parse_doccano_jsonl
 from .io.docjson import parse_document_json, serialize_document_json
-from .io.textdir import load_text_documents
+from .io.textdir import load_text_documents, read_utf8
 from .pipeline import Plan, PipelineSpec, compile_pipeline, run_pipeline
 from .provenance import Tracer, VerbosityLevel, build_graph, export_prov, parse_prov_json
 from .provenance import _write_prov_json
@@ -39,7 +41,7 @@ OUTPUT_EXTENSIONS = {"brat": ".ann", "doccano": ".jsonl", "json": ".json"}
 def _load_pipeline(path: str) -> Plan:
     """Read a pipeline config taking one document, and compile it."""
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        obj = json.loads(read_utf8(path))
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read pipeline {path}: {exc}") from exc
     spec = PipelineSpec.from_dict(obj)
@@ -81,20 +83,16 @@ def _emit(doc: Document, annotations: list[Annotation], emitted: list[str], fmt:
 
 
 def cmd_run(args) -> int:
-    try:
-        plan = _load_pipeline(args.pipeline)
-        level = VerbosityLevel.parse(args.prov_level)
-        if args.workers < 1:
-            raise ConfigError("workers must be >= 1")
-        docs = load_text_documents(args.input_dir)
-        out_dir = Path(args.output_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        # Opened before any document runs, so an unwritable path fails the
-        # run up front rather than after every output is written.
-        prov_out = open(args.prov_out, "w", encoding="utf-8") if args.prov_out else None
-    except (OSError, AnnopipeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    plan = _load_pipeline(args.pipeline)
+    level = VerbosityLevel.parse(args.prov_level)
+    if args.workers < 1:
+        raise ConfigError("workers must be >= 1")
+    docs = load_text_documents(args.input_dir)
+    out_dir = Path(args.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    # Opened before any document runs, so an unwritable path fails the
+    # run up front rather than after every output is written.
+    prov_out = open(args.prov_out, "w", encoding="utf-8") if args.prov_out else None
 
     extension = OUTPUT_EXTENSIONS[args.output_format]
     input_key = plan.spec.pipeline_inputs[0]
@@ -148,13 +146,13 @@ def _load_corpus(fmt: str, path: str) -> list[tuple[str, Document]]:
             doc = load_text_documents(txt)[0]
             ann_file = txt.with_suffix(".ann")
             if ann_file.exists():
-                for ann in parse_brat(ann_file.read_text(encoding="utf-8"), doc.text):
+                for ann in parse_brat(read_utf8(ann_file), doc.text):
                     doc.attach(ann)
             pairs.append((txt.stem, doc))
         return pairs
     if fmt == "doccano":
         pairs = []
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = read_utf8(path).splitlines()
         for line_no, line in enumerate(lines, 1):
             if not line.strip():
                 continue
@@ -168,7 +166,7 @@ def _load_corpus(fmt: str, path: str) -> list[tuple[str, Document]]:
         pairs = []
         for file in sorted(path.glob("*.json")):
             try:
-                doc = parse_document_json(file.read_text(encoding="utf-8"))
+                doc = parse_document_json(read_utf8(file))
             except MalformedJsonError as exc:
                 raise MalformedJsonError(f"{file}: {exc}") from exc
             pairs.append((file.stem, doc))
@@ -177,39 +175,23 @@ def _load_corpus(fmt: str, path: str) -> list[tuple[str, Document]]:
 
 
 def _write_corpus(fmt: str, path: str, pairs: list[tuple[str, Document]]) -> None:
+    # Built before the first write, so a document that cannot be emitted
+    # leaves nothing written.
+    payloads = [(stem, doc, _emit(doc, doc.annotations, [], fmt)) for stem, doc in pairs]
     path = Path(path)
     if fmt == "doccano":
         path.parent.mkdir(parents=True, exist_ok=True)
-        lines = []
-        for _, doc in pairs:
-            entities = [a for a in doc.annotations if isinstance(a, Entity)]
-            lines.append(emit_doccano_jsonl(doc, entities))
-        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        path.write_text("".join(payload for _, _, payload in payloads), encoding="utf-8")
         return
     path.mkdir(parents=True, exist_ok=True)
-    for stem, doc in pairs:
+    for stem, doc, payload in payloads:
         if fmt == "brat":
             (path / f"{stem}.txt").write_text(doc.text, encoding="utf-8")
-            segments = [a for a in doc.annotations if isinstance(a, Segment)]
-            relations = [a for a in doc.annotations if not isinstance(a, Segment)]
-            (path / f"{stem}.ann").write_text(
-                emit_brat(doc, segments + relations), encoding="utf-8"
-            )
-        elif fmt == "json":
-            (path / f"{stem}.json").write_text(
-                serialize_document_json(doc), encoding="utf-8"
-            )
-        else:
-            raise ConfigError(f"unknown output format {fmt!r}")
+        (path / f"{stem}{OUTPUT_EXTENSIONS[fmt]}").write_text(payload, encoding="utf-8")
 
 
 def cmd_convert(args) -> int:
-    try:
-        pairs = _load_corpus(args.in_format, args.in_path)
-        _write_corpus(args.out_format, args.out_path, pairs)
-    except (OSError, AnnopipeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    _write_corpus(args.out_format, args.out_path, _load_corpus(args.in_format, args.in_path))
     return 0
 
 
@@ -217,8 +199,8 @@ def _load_ann_entities(directory: Path) -> dict[str, list[Entity]]:
     out = {}
     for ann_file in sorted(directory.glob("*.ann")):
         txt_file = ann_file.with_suffix(".txt")
-        doc_text = txt_file.read_text(encoding="utf-8") if txt_file.exists() else None
-        annotations = parse_brat(ann_file.read_text(encoding="utf-8"), doc_text)
+        doc_text = read_utf8(txt_file) if txt_file.exists() else None
+        annotations = parse_brat(read_utf8(ann_file), doc_text)
         out[ann_file.stem] = [a for a in annotations if isinstance(a, Entity)]
     return out
 
@@ -239,32 +221,23 @@ def cmd_eval(args) -> int:
         iou_threshold=args.threshold,
         label_sensitive=not args.label_insensitive,
     )
-    try:
-        metrics = _eval_dirs(args.pred_dir, args.ref_dir, spec)
-        if args.compare_with:
-            other = _eval_dirs(args.compare_with, args.ref_dir, spec)
-            print(format_metrics(metrics))
-            print()
-            print(compare_runs(metrics, other, name_a="pred", name_b="compare"))
-        else:
-            print(format_metrics(metrics))
-        if args.json_out:
-            Path(args.json_out).write_text(
-                json.dumps(metrics_to_dict(metrics), indent=2) + "\n", encoding="utf-8"
-            )
-    except AnnopipeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    metrics = _eval_dirs(args.pred_dir, args.ref_dir, spec)
+    if args.compare_with:
+        other = _eval_dirs(args.compare_with, args.ref_dir, spec)
+        print(format_metrics(metrics))
+        print()
+        print(compare_runs(metrics, other, name_a="pred", name_b="compare"))
+    else:
+        print(format_metrics(metrics))
+    if args.json_out:
+        Path(args.json_out).write_text(
+            json.dumps(metrics_to_dict(metrics), indent=2) + "\n", encoding="utf-8"
+        )
     return 0
 
 
 def cmd_prov(args) -> int:
-    try:
-        graph = parse_prov_json(Path(args.in_path).read_text(encoding="utf-8"))
-        payload = export_prov(graph, args.format)
-    except (OSError, ValueError, AnnopipeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    payload = export_prov(parse_prov_json(read_utf8(args.in_path)), args.format)
     if args.out_path:
         Path(args.out_path).write_text(payload, encoding="utf-8")
     else:
@@ -322,7 +295,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, AnnopipeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

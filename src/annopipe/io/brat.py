@@ -55,6 +55,7 @@ def parse_brat(ann_text: str, doc_text: Optional[str] = None) -> list[Annotation
     skipped = 0
 
     for line_no, line in enumerate(ann_text.split("\n"), 1):
+        line = line.removesuffix("\r")  # CRLF line ends
         if not line.strip():
             continue
         sigil = line[0]

@@ -33,6 +33,13 @@ def _str(obj: dict, key: str) -> str:
     return value
 
 
+def _object(obj: dict, key: str) -> dict:
+    value = obj.get(key, {})
+    if not isinstance(value, dict):
+        raise TypeError(f"{key!r} must be an object, not {value!r}")
+    return value
+
+
 def _span_from_obj(obj: dict) -> AnySpan:
     if "len" in obj:
         return ModifiedSpan(
@@ -68,13 +75,13 @@ def _ann_to_obj(ann: Annotation) -> dict:
 
 def _ann_from_obj(obj: dict) -> Annotation:
     common = dict(
-        id=obj["id"],
+        id=_str(obj, "id"),
         label=_str(obj, "label"),
         attributes=[
-            Attribute(id=a["id"], label=_str(a, "label"), value=a["value"])
+            Attribute(id=_str(a, "id"), label=_str(a, "label"), value=a["value"])
             for a in obj.get("attributes", [])
         ],
-        metadata=obj.get("metadata", {}),
+        metadata=_object(obj, "metadata"),
     )
     kind = obj.get("kind", "annotation")
     if kind in ("segment", "entity"):
@@ -108,6 +115,10 @@ def parse_document_json(text: str) -> Document:
         raise MalformedJsonError('missing "text" key')
     if not isinstance(obj["text"], str):
         raise MalformedJsonError('"text" must be a string')
+    if not isinstance(obj.get("id", ""), str):
+        raise MalformedJsonError('"id" must be a string')
+    if not isinstance(obj.get("metadata", {}), dict):
+        raise MalformedJsonError('"metadata" must be an object')
     annotations = obj.get("annotations", [])
     if not isinstance(annotations, list):
         raise MalformedJsonError('"annotations" must be a list')

@@ -8,6 +8,15 @@ from ..core import Document, create_document
 from ..exceptions import DecodeError
 
 
+def read_utf8(path) -> str:
+    """The file at ``path`` decoded as UTF-8, newlines as they stand (offsets
+    count every character); DecodeError names the file."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DecodeError(str(path), exc.start) from exc
+
+
 def load_text_documents(path) -> list[Document]:
     """One document per UTF-8 .txt file; a file path loads a single document.
 
@@ -19,12 +28,4 @@ def load_text_documents(path) -> list[Document]:
         files = sorted(path.glob("*.txt"))
     else:
         files = [path]
-    docs = []
-    for file in files:
-        raw = file.read_bytes()
-        try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DecodeError(str(file), exc.start) from exc
-        docs.append(create_document(text, {"filename": file.name}))
-    return docs
+    return [create_document(read_utf8(file), {"filename": file.name}) for file in files]

@@ -422,4 +422,8 @@ def export_prov(graph: ProvGraph, format: str = "prov-json") -> str:
 
 def parse_prov_json(text: str) -> ProvGraph:
     """Inverse of export_prov(graph, 'prov-json')."""
-    return _graph_from_dict(_expect(json.loads(text), dict, "PROV-JSON document"))
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise MalformedJsonError(f"invalid JSON: {exc}") from exc
+    return _graph_from_dict(_expect(doc, dict, "PROV-JSON document"))

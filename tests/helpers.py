@@ -9,12 +9,16 @@ import random
 import re
 import unicodedata
 import uuid
+from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
 from annopipe import spans as sp
-from annopipe.core import Attribute, Entity, Segment, new_id
+from annopipe.core import Attribute, Document, Entity, Segment, new_id
 from annopipe.evaluation import MatchSpec
-from annopipe.exceptions import ArityMismatchError, InvalidRangeError, ScopeError
+from annopipe.exceptions import ArityMismatchError, ConfigError, InvalidRangeError, ScopeError
+from annopipe.io.brat import emit_brat
+from annopipe.io.doccano import emit_doccano_jsonl
+from annopipe.io.docjson import serialize_document_json
 from annopipe.pipeline import Lineage, _items, _output_id, _Registered, _source_id
 from annopipe.provenance import Activity, ProvGraph, Tracer, VerbosityLevel
 from annopipe.spans import Span, normalize_spans
@@ -981,3 +985,31 @@ def frozen_run_step(registered: _Registered, op: Callable, args: list, minted: O
         if pairs is not None:
             pairs = [(output_ids[0], s) for s in dict.fromkeys(source_ids)]
     return outputs, (source_ids, output_ids, pairs)
+
+
+def frozen_write_corpus(fmt: str, path: str, pairs: list[tuple[str, Document]]) -> None:
+    """cli._write_corpus as it stood with its own branch per output format."""
+    path = Path(path)
+    if fmt == "doccano":
+        path.parent.mkdir(parents=True, exist_ok=True)
+        lines = []
+        for _, doc in pairs:
+            entities = [a for a in doc.annotations if isinstance(a, Entity)]
+            lines.append(emit_doccano_jsonl(doc, entities))
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        return
+    path.mkdir(parents=True, exist_ok=True)
+    for stem, doc in pairs:
+        if fmt == "brat":
+            (path / f"{stem}.txt").write_text(doc.text, encoding="utf-8")
+            segments = [a for a in doc.annotations if isinstance(a, Segment)]
+            relations = [a for a in doc.annotations if not isinstance(a, Segment)]
+            (path / f"{stem}.ann").write_text(
+                emit_brat(doc, segments + relations), encoding="utf-8"
+            )
+        elif fmt == "json":
+            (path / f"{stem}.json").write_text(
+                serialize_document_json(doc), encoding="utf-8"
+            )
+        else:
+            raise ConfigError(f"unknown output format {fmt!r}")

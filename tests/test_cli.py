@@ -8,10 +8,15 @@ import pytest
 
 from annopipe import cli, demo, ops
 from annopipe.cli import main
+from annopipe.core import Entity, create_document
+from annopipe.io.docjson import serialize_document_json
 from annopipe.io.textdir import load_text_documents
 from annopipe.pipeline import PipelineSpec, run_pipeline
 from annopipe.provenance import build_graph, export_prov
+from annopipe.spans import ModifiedSpan, Span
 from annopipe.textops import DEFAULT_NEGATION_RULES, load_dictionary
+
+from helpers import frozen_write_corpus
 
 FIXTURES = Path(__file__).parent / "fixtures" / "brat"
 
@@ -413,6 +418,7 @@ def _single_error_line(capsys):
     assert "Traceback" not in err
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0]
 
 
 def test_missing_input_dir_exits_2(tmp_path, capsys):
@@ -521,3 +527,127 @@ def test_prov_out_is_export_prov_of_the_merged_trace(tmp_path, corpus, monkeypat
     assert code == 0 and len(merged) == 1
     expected = export_prov(_counted_ids(build_graph, merged[0]), "prov-json")
     assert prov.read_text(encoding="utf-8") == expected
+
+
+def _non_utf8(path):
+    """A file at ``path`` whose fourth byte is not UTF-8."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(b"abc\xff\n")
+    return path
+
+
+def _eval_of_a_non_utf8_ann(tmp):
+    (tmp / "pred").mkdir()
+    (tmp / "pred" / "doc.ann").write_text("", encoding="utf-8")
+    bad = _non_utf8(tmp / "ref" / "doc.ann")
+    return ["eval", "--pred-dir", tmp / "pred", "--ref-dir", tmp / "ref"], bad
+
+
+def _convert_of_a_non_utf8_brat_ann(tmp):
+    bad = _non_utf8(tmp / "in" / "doc.ann")
+    (tmp / "in" / "doc.txt").write_text("abc", encoding="utf-8")
+    return ["convert", "--in-format", "brat", "--out-format", "json",
+            "--in", tmp / "in", "--out", tmp / "out"], bad
+
+
+def _convert_of_a_non_utf8_json(tmp):
+    bad = _non_utf8(tmp / "in" / "doc.json")
+    return ["convert", "--in-format", "json", "--out-format", "brat",
+            "--in", tmp / "in", "--out", tmp / "out"], bad
+
+
+def _convert_of_a_non_utf8_doccano_file(tmp):
+    bad = _non_utf8(tmp / "in.jsonl")
+    return ["convert", "--in-format", "doccano", "--out-format", "json",
+            "--in", bad, "--out", tmp / "out"], bad
+
+
+def _run_of_a_non_utf8_pipeline(tmp):
+    bad = _non_utf8(tmp / "pipeline.json")
+    return ["run", "--pipeline", bad, "--input-dir", demo.corpus_dir(),
+            "--output-dir", tmp / "out"], bad
+
+
+def _eval_json_out_into_a_missing_directory(tmp):
+    for side in ("pred", "ref"):
+        (tmp / side).mkdir()
+        (tmp / side / "doc.ann").write_text("", encoding="utf-8")
+    json_out = tmp / "missing" / "metrics.json"
+    return ["eval", "--pred-dir", tmp / "pred", "--ref-dir", tmp / "ref",
+            "--json-out", json_out], json_out
+
+
+BOUNDARY_CASES = {
+    "eval non-UTF-8 .ann": _eval_of_a_non_utf8_ann,
+    "convert brat non-UTF-8 .ann": _convert_of_a_non_utf8_brat_ann,
+    "convert json non-UTF-8 .json": _convert_of_a_non_utf8_json,
+    "convert doccano non-UTF-8 file": _convert_of_a_non_utf8_doccano_file,
+    "run non-UTF-8 pipeline": _run_of_a_non_utf8_pipeline,
+    "eval json-out into a missing directory": _eval_json_out_into_a_missing_directory,
+}
+
+
+@pytest.mark.parametrize("case", BOUNDARY_CASES.values(), ids=BOUNDARY_CASES.keys())
+def test_bad_file_exits_2_with_one_error_line_naming_it(tmp_path, capsys, case):
+    argv, named = case(tmp_path)
+    assert run_cli(*argv) == 2
+    assert str(named) in _single_error_line(capsys)
+
+
+@pytest.fixture(scope="module")
+def brat_corpora(tmp_path_factory):
+    """The brat fixtures and the demo corpus with its reference, each loaded once."""
+    demo_dir = tmp_path_factory.mktemp("demo")
+    for src in [*demo.corpus_dir().glob("*.txt"), *demo.reference_dir().glob("*.ann")]:
+        shutil.copy(src, demo_dir / src.name)
+    return [cli._load_corpus("brat", path) for path in (FIXTURES / "good", demo_dir)]
+
+
+@pytest.mark.parametrize("fmt", ["brat", "json", "doccano"])
+def test_write_corpus_matches_the_frozen_writer(tmp_path, brat_corpora, fmt):
+    for index, pairs in enumerate(brat_corpora):
+        assert any(doc.annotations for _, doc in pairs)
+        new, old = tmp_path / "new" / str(index), tmp_path / "old" / str(index)
+        if fmt == "doccano":
+            new, old = new / "corpus.jsonl", old / "corpus.jsonl"
+        cli._write_corpus(fmt, new, pairs)
+        frozen_write_corpus(fmt, old, pairs)
+    written = {p.relative_to(tmp_path / "old"): p.read_bytes()
+               for p in (tmp_path / "old").rglob("*") if p.is_file()}
+    assert written == {p.relative_to(tmp_path / "new"): p.read_bytes()
+                       for p in (tmp_path / "new").rglob("*") if p.is_file()}
+
+
+def test_convert_that_cannot_emit_a_document_writes_nothing(tmp_path, capsys):
+    src = tmp_path / "in"
+    src.mkdir()
+    # The second document's entity is a pure insertion: no Brat offsets.
+    for stem, span in (("a", Span(0, 3)), ("b", ModifiedSpan(3, ()))):
+        doc = create_document("abc")
+        doc.attach(Entity(label="Drug", text="abc", spans=[span]))
+        (src / f"{stem}.json").write_text(serialize_document_json(doc), encoding="utf-8")
+    code = run_cli(
+        "convert", "--in-format", "json", "--out-format", "brat",
+        "--in", src, "--out", tmp_path / "out",
+    )
+    assert code == 2
+    _single_error_line(capsys)
+    assert not (tmp_path / "out").exists()
+
+
+def test_convert_and_eval_read_a_crlf_brat_pair(tmp_path):
+    src = tmp_path / "in"
+    src.mkdir()
+    (src / "doc.txt").write_bytes(b"aspirine 500\r\nparacetamol\r\n")
+    (src / "doc.ann").write_bytes(
+        b"T1\tDrug 0 8\taspirine\r\nT2\tDrug 14 25\tparacetamol\r\nA1\tNeg T1\r\n"
+    )
+    assert run_cli(
+        "convert", "--in-format", "brat", "--out-format", "brat",
+        "--in", src, "--out", tmp_path / "out",
+    ) == 0
+    assert (tmp_path / "out" / "doc.ann").read_bytes() == (
+        b"T1\tDrug 0 8\taspirine\nT2\tDrug 14 25\tparacetamol\nA1\tNeg T1\n"
+    )
+    # The offsets count the .txt's carriage returns.
+    assert run_cli("eval", "--pred-dir", src, "--ref-dir", src) == 0

@@ -81,6 +81,18 @@ MALFORMED_DOCJSON = {
         lambda obj: _break_first_annotation(obj, "spans", [{"s": "0", "e": 11}]), "annotation 0"
     ),
     "annotation not an object": (lambda obj: obj.update(annotations=[[]]), "annotation 0"),
+    "annotation id not a string": (lambda obj: _break_first_annotation(obj, "id", 7), "annotation 0"),
+    "attribute id not a string": (
+        lambda obj: _break_first_annotation(
+            obj, "attributes", [{"id": 7, "label": "a", "value": True}]
+        ),
+        "annotation 0",
+    ),
+    "annotation metadata not an object": (
+        lambda obj: _break_first_annotation(obj, "metadata", 5), "annotation 0"
+    ),
+    "document id not a string": (lambda obj: obj.update(id=7), '"id"'),
+    "document metadata not an object": (lambda obj: obj.update(metadata=5), '"metadata"'),
 }
 
 
