@@ -26,7 +26,8 @@ from .evaluation import (
     merge_metrics,
     metrics_to_dict,
 )
-from .exceptions import AnnopipeError, ConfigError, MalformedJsonError, MissingCounterpartError
+from .exceptions import AnnopipeError, ConfigError, MalformedJsonError, MalformedLineError
+from .exceptions import MissingCounterpartError, SurfaceMismatchError
 from .io.brat import emit_brat, parse_brat
 from .io.doccano import emit_doccano_jsonl, parse_doccano_jsonl
 from .io.docjson import parse_document_json, serialize_document_json
@@ -67,6 +68,7 @@ def _collect_annotations(outputs: dict) -> tuple[list[Annotation], list[str]]:
 
 
 def _emit(doc: Document, annotations: list[Annotation], emitted: list[str], fmt: str) -> str:
+    """One document's payload in ``fmt``, a key of OUTPUT_EXTENSIONS."""
     if fmt == "brat":
         if emitted:
             return emitted[0]
@@ -74,12 +76,10 @@ def _emit(doc: Document, annotations: list[Annotation], emitted: list[str], fmt:
     if fmt == "doccano":
         entities = [a for a in annotations if isinstance(a, Entity)]
         return emit_doccano_jsonl(doc, entities) + "\n"
-    if fmt == "json":
-        for ann in annotations:
-            if doc.get_annotation(ann.id) is None:
-                doc.attach(ann)
-        return serialize_document_json(doc)
-    raise ConfigError(f"unknown output format {fmt!r}")
+    for ann in annotations:
+        if doc.get_annotation(ann.id) is None:
+            doc.attach(ann)
+    return serialize_document_json(doc)
 
 
 def cmd_run(args) -> int:
@@ -136,8 +136,16 @@ def _directory(path: str) -> Path:
     return path
 
 
+def _parse(path, parse, *args):
+    """``parse`` of the UTF-8 text at ``path``; a parse error names the file."""
+    try:
+        return parse(read_utf8(path), *args)
+    except (MalformedLineError, SurfaceMismatchError, MalformedJsonError) as exc:
+        raise AnnopipeError(f"{path}: {exc}") from exc
+
+
 def _load_corpus(fmt: str, path: str) -> list[tuple[str, Document]]:
-    """(stem, document) pairs with annotations attached."""
+    """(stem, document) pairs with annotations attached; fmt is brat, doccano or json."""
     if fmt in ("brat", "json"):
         path = _directory(path)
     if fmt == "brat":
@@ -146,7 +154,7 @@ def _load_corpus(fmt: str, path: str) -> list[tuple[str, Document]]:
             doc = load_text_documents(txt)[0]
             ann_file = txt.with_suffix(".ann")
             if ann_file.exists():
-                for ann in parse_brat(read_utf8(ann_file), doc.text):
+                for ann in _parse(ann_file, parse_brat, doc.text):
                     doc.attach(ann)
             pairs.append((txt.stem, doc))
         return pairs
@@ -162,16 +170,8 @@ def _load_corpus(fmt: str, path: str) -> list[tuple[str, Document]]:
                 raise MalformedJsonError(f"{path}, line {line_no}: {exc}") from exc
             pairs.append((f"doc_{len(pairs) + 1:04d}", doc))
         return pairs
-    if fmt == "json":
-        pairs = []
-        for file in sorted(path.glob("*.json")):
-            try:
-                doc = parse_document_json(read_utf8(file))
-            except MalformedJsonError as exc:
-                raise MalformedJsonError(f"{file}: {exc}") from exc
-            pairs.append((file.stem, doc))
-        return pairs
-    raise ConfigError(f"unknown input format {fmt!r}")
+    files = sorted(path.glob("*.json"))
+    return [(file.stem, _parse(file, parse_document_json)) for file in files]
 
 
 def _write_corpus(fmt: str, path: str, pairs: list[tuple[str, Document]]) -> None:
@@ -200,7 +200,7 @@ def _load_ann_entities(directory: Path) -> dict[str, list[Entity]]:
     for ann_file in sorted(directory.glob("*.ann")):
         txt_file = ann_file.with_suffix(".txt")
         doc_text = read_utf8(txt_file) if txt_file.exists() else None
-        annotations = parse_brat(read_utf8(ann_file), doc_text)
+        annotations = _parse(ann_file, parse_brat, doc_text)
         out[ann_file.stem] = [a for a in annotations if isinstance(a, Entity)]
     return out
 
@@ -237,7 +237,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_prov(args) -> int:
-    payload = export_prov(parse_prov_json(read_utf8(args.in_path)), args.format)
+    payload = export_prov(_parse(args.in_path, parse_prov_json), args.format)
     if args.out_path:
         Path(args.out_path).write_text(payload, encoding="utf-8")
     else:
@@ -262,8 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.set_defaults(func=cmd_run)
 
     convert = sub.add_parser("convert", help="convert between annotation formats")
-    convert.add_argument("--in-format", required=True)
-    convert.add_argument("--out-format", required=True)
+    convert.add_argument("--in-format", required=True, choices=sorted(OUTPUT_EXTENSIONS))
+    convert.add_argument("--out-format", required=True, choices=sorted(OUTPUT_EXTENSIONS))
     convert.add_argument("--in", dest="in_path", required=True)
     convert.add_argument("--out", dest="out_path", required=True)
     convert.set_defaults(func=cmd_convert)

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from .exceptions import DuplicateIdError, OutOfBoundsError
-from .spans import AnySpan, Span, normalize_spans, span_length
+from .spans import AnySpan, Span, extract_each, normalize_spans, span_length
 
 ScalarValue = Union[bool, int, float, str, None]
 
@@ -145,3 +145,15 @@ def full_text_segment(doc: Document, label: str = "full_text") -> Segment:
     """A segment covering the whole raw text, the entry point of pipelines."""
     spans: list[AnySpan] = [Span(0, len(doc.text))] if doc.text else []
     return Segment(label=label, text=doc.text, spans=spans)
+
+
+def entities_at(
+    seg: Segment, found: Sequence[tuple[int, int, str, list[Attribute]]]
+) -> list[Entity]:
+    """One entity per ``(start, end, label, attributes)`` range of seg's text,
+    in the given order, each cut with its chain back to the raw document."""
+    pieces = extract_each(seg.text, seg.spans, [(s, e) for s, e, _, _ in found])
+    return [
+        Entity(label=label, text=text, spans=spans, attributes=attributes)
+        for (_, _, label, attributes), (text, spans) in zip(found, pieces)
+    ]

@@ -157,13 +157,7 @@ def extract(
 ) -> tuple[str, list[AnySpan]]:
     """Keep only the given ranges of the text, slicing the chain accordingly."""
     _check_ranges(ranges, len(text))
-    offsets = _offsets(spans)
-    out_text = []
-    out_spans: list[AnySpan] = []
-    for start, end in ranges:
-        out_text.append(text[start:end])
-        out_spans.extend(_slice_chain(spans, offsets, start, end))
-    return "".join(out_text), _coalesce(out_spans)
+    return concatenate(extract_each(text, spans, ranges))
 
 
 def extract_each(

@@ -12,8 +12,8 @@ import datetime
 import re
 from typing import Optional
 
-from ..core import Attribute, Entity, Segment
-from ..spans import _leftmost_longest, extract_each
+from ..core import Attribute, Entity, Segment, entities_at
+from ..spans import _leftmost_longest
 
 _MONTHS_FR = {
     "janvier": 1,
@@ -65,16 +65,7 @@ def match_dates(seg: Segment) -> list[Entity]:
     candidates = []
     for pattern, order in _DATE_PATTERNS:
         for m in pattern.finditer(seg.text):
-            candidates.append((m.start(), m.end(), _normalize(m.groups(), order)))
-    selected = _leftmost_longest(candidates)
-
-    entities = []
-    pieces = extract_each(seg.text, seg.spans, [(s, e) for s, e, _ in selected])
-    for (_, _, normalized), (ent_text, ent_spans) in zip(selected, pieces):
-        attributes = []
-        if normalized is not None:
-            attributes.append(Attribute(label="normalized", value=normalized))
-        entities.append(
-            Entity(label="date", text=ent_text, spans=ent_spans, attributes=attributes)
-        )
-    return entities
+            value = _normalize(m.groups(), order)
+            norm = [] if value is None else [Attribute("normalized", value)]
+            candidates.append((m.start(), m.end(), "date", norm))
+    return entities_at(seg, _leftmost_longest(candidates))

@@ -7,11 +7,11 @@ import io
 import re
 import unicodedata
 from dataclasses import dataclass
-from pathlib import Path
 from typing import NamedTuple, Optional
 
-from ..core import Attribute, Entity, Segment
-from ..spans import _leftmost_longest, extract_each
+from ..core import Attribute, Entity, Segment, entities_at
+from ..io.textdir import read_utf8
+from ..spans import _leftmost_longest
 
 
 @dataclass
@@ -29,13 +29,13 @@ class DictionaryEntry:
 def load_dictionary(path) -> list[DictionaryEntry]:
     """Read a dictionary file: UTF-8, "term,label,norm_id" lines, "#" comments."""
     entries = []
-    for raw_line in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw_line in read_utf8(path).splitlines():
         line = raw_line.strip()
         if not line or line.startswith("#"):
             continue
         row = next(csv.reader(io.StringIO(line)))
         if len(row) < 2:
-            raise ValueError(f"dictionary line needs term and label: {raw_line!r}")
+            raise ValueError(f"{path}: dictionary line needs term and label: {raw_line!r}")
         term, label = row[0].strip(), row[1].strip()
         norm_id = row[2].strip() if len(row) > 2 and row[2].strip() else None
         entries.append(DictionaryEntry(term=term, label=label, norm_id=norm_id))
@@ -168,20 +168,11 @@ def match_prepared(seg: Segment, prepared: PreparedDictionary) -> list[Entity]:
                 candidates.append((index_map[pos], index_map[end - 1] + 1, entry))
             pos = haystack.find(needle, pos + 1)
 
-    selected = _leftmost_longest(candidates)
-
-    entities = []
-    pieces = extract_each(seg.text, seg.spans, [(s, e) for s, e, _ in selected])
-    for (_, _, entry), (ent_text, ent_spans) in zip(selected, pieces):
-        attributes = []
-        if entry.norm_id is not None:
-            attributes.append(Attribute(label="norm_id", value=entry.norm_id))
-        entities.append(
-            Entity(
-                label=entry.label, text=ent_text, spans=ent_spans, attributes=attributes
-            )
-        )
-    return entities
+    found = []
+    for start, end, entry in _leftmost_longest(candidates):
+        norm = [] if entry.norm_id is None else [Attribute("norm_id", entry.norm_id)]
+        found.append((start, end, entry.label, norm))
+    return entities_at(seg, found)
 
 
 def match_dictionary(

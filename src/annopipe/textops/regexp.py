@@ -6,8 +6,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
-from ..core import Entity, Segment
-from ..spans import extract_each
+from ..core import Entity, Segment, entities_at
 
 
 @dataclass
@@ -34,8 +33,7 @@ def match_regex(seg: Segment, rules: list[RegexRule]) -> list[Entity]:
     A rule whose exclusion pattern matches the segment text contributes no
     entities. With a capture group set, the entity covers only that group.
     """
-    labels = []
-    ranges = []
+    found = []
     for rule in rules:
         if rule._exclusion and rule._exclusion.search(seg.text):
             continue
@@ -43,13 +41,7 @@ def match_regex(seg: Segment, rules: list[RegexRule]) -> list[Entity]:
             start, end = m.span(rule.group)
             if start == -1 or start >= end:
                 continue
-            labels.append(rule.label)
-            ranges.append((start, end))
-    entities = [
-        Entity(label=label, text=ent_text, spans=ent_spans)
-        for label, (ent_text, ent_spans) in zip(
-            labels, extract_each(seg.text, seg.spans, ranges)
-        )
-    ]
+            found.append((start, end, rule.label, []))
+    entities = entities_at(seg, found)
     entities.sort(key=lambda e: tuple((s.start, s.end) for s in e.normalized_spans()))
     return entities

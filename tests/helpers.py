@@ -23,6 +23,7 @@ from annopipe.pipeline import Lineage, _items, _output_id, _Registered, _source_
 from annopipe.provenance import Activity, ProvGraph, Tracer, VerbosityLevel
 from annopipe.spans import Span, normalize_spans
 from annopipe.textops import ContextRuleSet
+from annopipe.textops.dates import _DATE_PATTERNS, _normalize
 
 # Alphabet with multi-code-point graphemes: combining accents, astral emoji,
 # CJK, plus plain ASCII.
@@ -1013,3 +1014,71 @@ def frozen_write_corpus(fmt: str, path: str, pairs: list[tuple[str, Document]]) 
             )
         else:
             raise ConfigError(f"unknown output format {fmt!r}")
+
+
+# The matchers as they stood when each cut its own entities out of the
+# segment's chain. Kept verbatim as the reference for the matchers that cut
+# through core.entities_at.
+
+
+def frozen_deidentify(seg: Segment, rules: list) -> tuple[Segment, list[Entity]]:
+    candidates = []
+    for rule in rules:
+        for m in rule._compiled.finditer(seg.text):
+            if m.start() < m.end():
+                candidates.append((m.start(), m.end(), rule))
+    selected = sp._leftmost_longest(candidates)
+
+    entities = []
+    for start, end, rule in selected:
+        ent_text, ent_spans = sp.extract(seg.text, seg.spans, [(start, end)])
+        entities.append(Entity(label=rule.label, text=ent_text, spans=ent_spans))
+
+    ranges = [(s, e) for s, e, _ in selected]
+    placeholders = [rule.placeholder for _, _, rule in selected]
+    new_text, new_spans = sp.replace(seg.text, seg.spans, ranges, placeholders)
+    new_seg = Segment(
+        label=seg.label, text=new_text, spans=new_spans, metadata=dict(seg.metadata)
+    )
+    return new_seg, entities
+
+
+def frozen_match_dates(seg: Segment) -> list[Entity]:
+    candidates = []
+    for pattern, order in _DATE_PATTERNS:
+        for m in pattern.finditer(seg.text):
+            candidates.append((m.start(), m.end(), _normalize(m.groups(), order)))
+    selected = sp._leftmost_longest(candidates)
+
+    entities = []
+    pieces = sp.extract_each(seg.text, seg.spans, [(s, e) for s, e, _ in selected])
+    for (_, _, normalized), (ent_text, ent_spans) in zip(selected, pieces):
+        attributes = []
+        if normalized is not None:
+            attributes.append(Attribute(label="normalized", value=normalized))
+        entities.append(
+            Entity(label="date", text=ent_text, spans=ent_spans, attributes=attributes)
+        )
+    return entities
+
+
+def frozen_match_regex(seg: Segment, rules: list) -> list[Entity]:
+    labels = []
+    ranges = []
+    for rule in rules:
+        if rule._exclusion and rule._exclusion.search(seg.text):
+            continue
+        for m in rule._compiled.finditer(seg.text):
+            start, end = m.span(rule.group)
+            if start == -1 or start >= end:
+                continue
+            labels.append(rule.label)
+            ranges.append((start, end))
+    entities = [
+        Entity(label=label, text=ent_text, spans=ent_spans)
+        for label, (ent_text, ent_spans) in zip(
+            labels, sp.extract_each(seg.text, seg.spans, ranges)
+        )
+    ]
+    entities.sort(key=lambda e: tuple((s.start, s.end) for s in e.normalized_spans()))
+    return entities

@@ -577,6 +577,63 @@ def _eval_json_out_into_a_missing_directory(tmp):
             "--json-out", json_out], json_out
 
 
+def _brat_pair(tmp, ann_line):
+    """in/doc.txt holding "abc" and in/doc.ann holding ``ann_line``."""
+    (tmp / "in").mkdir()
+    (tmp / "in" / "doc.txt").write_text("abc", encoding="utf-8")
+    bad = tmp / "in" / "doc.ann"
+    bad.write_text(ann_line, encoding="utf-8")
+    return bad
+
+
+def _eval_of_a_surface_mismatch(tmp):
+    bad = _brat_pair(tmp, "T1\tDrug 0 3\tabd\n")
+    return ["eval", "--pred-dir", bad.parent, "--ref-dir", bad.parent], bad
+
+
+def _convert_of_a_surface_mismatch(tmp):
+    bad = _brat_pair(tmp, "T1\tDrug 0 3\tabd\n")
+    return ["convert", "--in-format", "brat", "--out-format", "json",
+            "--in", bad.parent, "--out", tmp / "out"], bad
+
+
+def _convert_of_a_malformed_ann_line(tmp):
+    bad = _brat_pair(tmp, "T1\tDrug zero 3\tabc\n")
+    return ["convert", "--in-format", "brat", "--out-format", "json",
+            "--in", bad.parent, "--out", tmp / "out"], bad
+
+
+def _prov_export_of_a_truncated_file(tmp):
+    bad = tmp / "prov.json"
+    bad.write_text('{"entity": {', encoding="utf-8")
+    return ["prov", "export", "--in", bad], bad
+
+
+def _run_with_a_non_utf8_dictionary(tmp):
+    return _run_with_a_dictionary(_non_utf8(tmp / "dict.csv"))
+
+
+def _run_with_a_dictionary_line_without_label(tmp):
+    bad = tmp / "dict.csv"
+    bad.write_text("aspirine,Drug\nparacétamol\n", encoding="utf-8")
+    return _run_with_a_dictionary(bad)
+
+
+def _run_with_a_dictionary(bad):
+    tmp = bad.parent
+    pipeline = tmp / "pipeline.json"
+    pipeline.write_text(json.dumps({
+        "name": "dict", "inputs": ["doc"], "outputs": ["entities"],
+        "steps": [
+            {"op": "to_segment", "params": {}, "inputs": ["doc"], "outputs": ["seg"]},
+            {"op": "match_dictionary", "params": {"path": str(bad)},
+             "inputs": ["seg"], "outputs": ["entities"]},
+        ],
+    }), encoding="utf-8")
+    return ["run", "--pipeline", pipeline, "--input-dir", demo.corpus_dir(),
+            "--output-dir", tmp / "out"], bad
+
+
 BOUNDARY_CASES = {
     "eval non-UTF-8 .ann": _eval_of_a_non_utf8_ann,
     "convert brat non-UTF-8 .ann": _convert_of_a_non_utf8_brat_ann,
@@ -584,6 +641,12 @@ BOUNDARY_CASES = {
     "convert doccano non-UTF-8 file": _convert_of_a_non_utf8_doccano_file,
     "run non-UTF-8 pipeline": _run_of_a_non_utf8_pipeline,
     "eval json-out into a missing directory": _eval_json_out_into_a_missing_directory,
+    "eval surface mismatch .ann": _eval_of_a_surface_mismatch,
+    "convert brat surface mismatch .ann": _convert_of_a_surface_mismatch,
+    "convert brat malformed .ann line": _convert_of_a_malformed_ann_line,
+    "prov export truncated PROV-JSON": _prov_export_of_a_truncated_file,
+    "run non-UTF-8 dictionary": _run_with_a_non_utf8_dictionary,
+    "run dictionary line without a label": _run_with_a_dictionary_line_without_label,
 }
 
 
@@ -592,6 +655,20 @@ def test_bad_file_exits_2_with_one_error_line_naming_it(tmp_path, capsys, case):
     argv, named = case(tmp_path)
     assert run_cli(*argv) == 2
     assert str(named) in _single_error_line(capsys)
+
+
+@pytest.mark.parametrize("flag", ["--in-format", "--out-format"])
+def test_convert_rejects_an_unknown_format_before_writing(tmp_path, capsys, flag):
+    (tmp_path / "in").mkdir()
+    formats = {"--in-format": "json", "--out-format": "json", flag: "xmi"}
+    code = run_cli(
+        "convert", *itertools.chain(*formats.items()),
+        "--in", tmp_path / "in", "--out", tmp_path / "out",
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and f"{flag}: invalid choice: 'xmi'" in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.fixture(scope="module")

@@ -18,6 +18,7 @@ from annopipe.spans import (
     concatenate,
     extract,
     normalize_spans,
+    replace,
     span_length,
 )
 from annopipe.textops import (
@@ -47,6 +48,9 @@ from helpers import (
     frozen_fold_text,
     frozen_local_range,
     frozen_match_dictionary,
+    frozen_deidentify,
+    frozen_match_dates,
+    frozen_match_regex,
     frozen_original_index_per_char,
 )
 
@@ -719,3 +723,73 @@ def test_detect_context_op_on_empty_inputs():
     assert op(sentences, []) == []
     (out,) = op([], [entity])
     assert _context_fingerprint(out) == _context_fingerprint(entity)
+
+
+# Tokens holding dates (valid and not), digit runs, capitals and placeholders.
+MATCH_TOKENS = [
+    "12/03/2021", "31/02/2020", "2021-04-05", "01-02-2003", "1er août 1999",
+    "12 mars 1980", "06 12 34 56 78", "400", "mg", "Dr", "aspirine", "X", "[N]", "-",
+]
+MATCH_REPLACEMENTS = ["", " ", "[X]", "12/03/2021", "Dupont", "7"]
+
+
+@st.composite
+def placeholder_segments(draw):
+    """A segment whose chain holds modified spans: disjoint ranges of a note,
+    some empty, replaced by placeholders that may themselves match."""
+    text = " ".join(draw(st.lists(st.sampled_from(MATCH_TOKENS), max_size=8)))
+    cuts = sorted(draw(st.lists(st.integers(0, len(text)), max_size=6)))
+    ranges = list(zip(cuts[::2], cuts[1::2]))
+    replacements = [draw(st.sampled_from(MATCH_REPLACEMENTS)) for _ in ranges]
+    seg = seg_of(text)
+    text, spans = replace(seg.text, seg.spans, ranges, replacements)
+    return Segment(label="sentence", text=text, spans=spans, metadata={"n": len(ranges)})
+
+
+def _entity_view(entities):
+    """Everything of the entities but their ids."""
+    return [
+        (type(e), e.label, e.text, e.spans, [(a.label, a.value) for a in e.attributes])
+        for e in entities
+    ]
+
+
+# Overlapping rules, so leftmost-longest has to pick.
+OVERLAPPING_DEID_RULES = [
+    DeidRule(r"\d{2}/\d{2}/\d{4}", "[DATE]"),
+    DeidRule(r"\d{2}/\d{2}", "[DM]"),
+    DeidRule(r"\d+", "[N]"),
+    DeidRule(r"\b0\d(?: \d{2}){4}\b", "[PHONE]"),
+    DeidRule(r"[A-Z]\w*", "[NAME]"),
+    DeidRule(r"\[\w+\]", "[PH]"),
+]
+
+MATCH_REGEX_RULES = [
+    RegexRule(r"\d+", "num"),
+    RegexRule(r"\b(\d+) mg\b", "dose", group=1),
+    RegexRule(r"(\d{2})/(\d{2})/\d{4}", "month", group=2),
+    RegexRule(r"(a)?sp", "optional", group=1),
+    RegexRule(r"[a-z]+", "word", exclusion_pattern=r"Dr"),
+    RegexRule(r"\[\w+\]", "placeholder", exclusion_pattern=r"\d{4}-"),
+    RegexRule(r"x*", "empty"),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    placeholder_segments(),
+    st.lists(st.sampled_from(OVERLAPPING_DEID_RULES), min_size=1, max_size=4),
+    st.lists(st.sampled_from(MATCH_REGEX_RULES), min_size=1, max_size=4),
+)
+def test_matchers_match_frozen_matchers_on_placeholder_chains(seg, deid_rules, regex_rules):
+    new_seg, entities = deidentify(seg, deid_rules)
+    old_seg, expected = frozen_deidentify(seg, deid_rules)
+    assert (new_seg.label, new_seg.text, new_seg.spans, new_seg.metadata) == (
+        old_seg.label, old_seg.text, old_seg.spans, old_seg.metadata
+    )
+    assert _entity_view(entities) == _entity_view(expected)
+    for matched in (seg, new_seg):
+        assert _entity_view(match_dates(matched)) == _entity_view(frozen_match_dates(matched))
+        assert _entity_view(match_regex(matched, regex_rules)) == _entity_view(
+            frozen_match_regex(matched, regex_rules)
+        )
