@@ -137,11 +137,13 @@ def _directory(path: str) -> Path:
 
 
 def _parse(path, parse, *args):
-    """``parse`` of the UTF-8 text at ``path``; a parse error names the file."""
+    """``parse`` of the UTF-8 text at ``path``; a parse error keeps its type and
+    its message gains the file's path in front."""
     try:
         return parse(read_utf8(path), *args)
     except (MalformedLineError, SurfaceMismatchError, MalformedJsonError) as exc:
-        raise AnnopipeError(f"{path}: {exc}") from exc
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def _load_corpus(fmt: str, path: str) -> list[tuple[str, Document]]:

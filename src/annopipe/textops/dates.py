@@ -65,7 +65,9 @@ def match_dates(seg: Segment) -> list[Entity]:
     candidates = []
     for pattern, order in _DATE_PATTERNS:
         for m in pattern.finditer(seg.text):
-            value = _normalize(m.groups(), order)
-            norm = [] if value is None else [Attribute("normalized", value)]
-            candidates.append((m.start(), m.end(), "date", norm))
-    return entities_at(seg, _leftmost_longest(candidates))
+            candidates.append((m.start(), m.end(), _normalize(m.groups(), order)))
+    found = []
+    for start, end, value in _leftmost_longest(candidates):
+        norm = [] if value is None else [Attribute("normalized", value)]
+        found.append((start, end, "date", norm))
+    return entities_at(seg, found)

@@ -10,8 +10,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from ..core import Entity, Segment, entities_at
-from ..spans import _leftmost_longest, replace
+from ..core import Entity, Segment
+from ..spans import _leftmost_longest, extract, replace
 
 
 @dataclass
@@ -43,7 +43,11 @@ def deidentify(seg: Segment, rules: list[DeidRule]) -> tuple[Segment, list[Entit
                 candidates.append((m.start(), m.end(), rule))
     selected = _leftmost_longest(candidates)
 
-    entities = entities_at(seg, [(s, e, rule.label, []) for s, e, rule in selected])
+    entities = []
+    for start, end, rule in selected:
+        ent_text, ent_spans = extract(seg.text, seg.spans, [(start, end)])
+        entities.append(Entity(label=rule.label, text=ent_text, spans=ent_spans))
+
     ranges = [(s, e) for s, e, _ in selected]
     placeholders = [rule.placeholder for _, _, rule in selected]
     new_text, new_spans = replace(seg.text, seg.spans, ranges, placeholders)

@@ -1021,28 +1021,6 @@ def frozen_write_corpus(fmt: str, path: str, pairs: list[tuple[str, Document]]) 
 # through core.entities_at.
 
 
-def frozen_deidentify(seg: Segment, rules: list) -> tuple[Segment, list[Entity]]:
-    candidates = []
-    for rule in rules:
-        for m in rule._compiled.finditer(seg.text):
-            if m.start() < m.end():
-                candidates.append((m.start(), m.end(), rule))
-    selected = sp._leftmost_longest(candidates)
-
-    entities = []
-    for start, end, rule in selected:
-        ent_text, ent_spans = sp.extract(seg.text, seg.spans, [(start, end)])
-        entities.append(Entity(label=rule.label, text=ent_text, spans=ent_spans))
-
-    ranges = [(s, e) for s, e, _ in selected]
-    placeholders = [rule.placeholder for _, _, rule in selected]
-    new_text, new_spans = sp.replace(seg.text, seg.spans, ranges, placeholders)
-    new_seg = Segment(
-        label=seg.label, text=new_text, spans=new_spans, metadata=dict(seg.metadata)
-    )
-    return new_seg, entities
-
-
 def frozen_match_dates(seg: Segment) -> list[Entity]:
     candidates = []
     for pattern, order in _DATE_PATTERNS:

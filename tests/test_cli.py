@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 import shutil
 from pathlib import Path
 from unittest import mock
@@ -9,6 +10,7 @@ import pytest
 from annopipe import cli, demo, ops
 from annopipe.cli import main
 from annopipe.core import Entity, create_document
+from annopipe.exceptions import MalformedJsonError, MalformedLineError, SurfaceMismatchError
 from annopipe.io.docjson import serialize_document_json
 from annopipe.io.textdir import load_text_documents
 from annopipe.pipeline import PipelineSpec, run_pipeline
@@ -655,6 +657,24 @@ def test_bad_file_exits_2_with_one_error_line_naming_it(tmp_path, capsys, case):
     argv, named = case(tmp_path)
     assert run_cli(*argv) == 2
     assert str(named) in _single_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "fmt, name, content, error",
+    [
+        ("brat", "doc.ann", "T1\tDrug 0 3\tabd\n", SurfaceMismatchError),
+        ("brat", "doc.ann", "T1\tDrug zero 3\tabc\n", MalformedLineError),
+        ("json", "doc.json", "{", MalformedJsonError),
+    ],
+)
+def test_load_corpus_keeps_the_parse_error_type_and_names_the_file(
+    tmp_path, fmt, name, content, error
+):
+    (tmp_path / "doc.txt").write_text("abc", encoding="utf-8")
+    bad = tmp_path / name
+    bad.write_text(content, encoding="utf-8")
+    with pytest.raises(error, match=f"^{re.escape(str(bad))}: "):
+        cli._load_corpus(fmt, tmp_path)
 
 
 @pytest.mark.parametrize("flag", ["--in-format", "--out-format"])
