@@ -9,8 +9,6 @@ AnnopipeError from any command (a bad input, an unwritable output) becomes one
 from __future__ import annotations
 
 import argparse
-import collections
-import concurrent.futures
 import contextlib
 import json
 import sys
@@ -82,7 +80,24 @@ def _emit(doc: Document, annotations: list[Annotation], emitted: list[str], fmt:
     return serialize_document_json(doc)
 
 
+# (plan, input key, output format, level) of the run; forked workers inherit it.
+_RUN = None
+
+
+def _process(doc: Document):
+    """``(tracer, payload)`` of one document under ``_RUN``, or ``(None, message)``:
+    a message crosses back from a worker, as some AnnopipeErrors do not unpickle."""
+    plan, input_key, fmt, level = _RUN
+    try:
+        tracer = Tracer(level)
+        annotations, emitted = _collect_annotations(run_pipeline(plan, {input_key: doc}, tracer))
+        return tracer, _emit(doc, annotations, emitted, fmt)
+    except Exception as exc:
+        return None, str(exc)
+
+
 def cmd_run(args) -> int:
+    global _RUN
     plan = _load_pipeline(args.pipeline)
     level = VerbosityLevel.parse(args.prov_level)
     if args.workers < 1:
@@ -95,27 +110,25 @@ def cmd_run(args) -> int:
     prov_out = open(args.prov_out, "w", encoding="utf-8") if args.prov_out else None
 
     extension = OUTPUT_EXTENSIONS[args.output_format]
-    input_key = plan.spec.pipeline_inputs[0]
-
-    def process(doc: Document):
-        tracer = Tracer(level)
-        outputs = run_pipeline(plan, {input_key: doc}, tracer)
-        annotations, emitted = _collect_annotations(outputs)
-        return tracer, _emit(doc, annotations, emitted, args.output_format)
-
+    _RUN = (plan, plan.spec.pipeline_inputs[0], args.output_format, level)
+    workers = min(args.workers, len(docs))
     failures = []
     merged = Tracer(level)
-    pool = concurrent.futures.ThreadPoolExecutor(max_workers=args.workers)
-    with prov_out or contextlib.nullcontext(), pool:
-        # Popped in input order, so a document's result is dropped once written.
-        pending = collections.deque((doc, pool.submit(process, doc)) for doc in docs)
-        while pending:
-            doc, future = pending.popleft()
+    with prov_out or contextlib.nullcontext(), contextlib.ExitStack() as stack:
+        if workers <= 1:
+            results = map(_process, docs)
+        else:  # imported here, so a run that forks nothing does not pay for them
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+            if "fork" not in multiprocessing.get_all_start_methods():
+                raise ConfigError("--workers above 1 needs fork, which this platform lacks")
+            fork = multiprocessing.get_context("fork")
+            pool = stack.enter_context(ProcessPoolExecutor(workers, mp_context=fork))
+            results = pool.map(_process, docs, chunksize=max(1, len(docs) // (4 * workers)))
+        for doc, (tracer, payload) in zip(docs, results):
             name = doc.metadata.get("filename", doc.id)
-            try:
-                tracer, payload = future.result()
-            except Exception as exc:
-                failures.append((name, exc))
+            if tracer is None:
+                failures.append((name, payload))
                 continue
             (out_dir / f"{Path(name).stem}{extension}").write_text(payload, encoding="utf-8")
             merged.merge(tracer)
@@ -123,8 +136,8 @@ def cmd_run(args) -> int:
             _write_prov_json(build_graph(merged), prov_out.write)
             prov_out.write("\n")
 
-    for name, exc in failures:
-        print(f"failed: {name}: {exc}", file=sys.stderr)
+    for name, message in failures:
+        print(f"failed: {name}: {message}", file=sys.stderr)
     return 1 if failures else 0
 
 

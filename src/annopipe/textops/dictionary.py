@@ -24,21 +24,23 @@ class DictionaryEntry:
     def __post_init__(self):
         if not self.term:
             raise ValueError("dictionary term must be non-empty")
+        if not self.label:
+            raise ValueError("dictionary label must be non-empty")
 
 
 def load_dictionary(path) -> list[DictionaryEntry]:
-    """Read a dictionary file: UTF-8, "term,label,norm_id" lines, "#" comments."""
+    """Read a dictionary file: UTF-8, "term,label,norm_id" lines, "#" comments.
+    A line without a term or label raises ValueError naming the file and line."""
     entries = []
-    for raw_line in read_utf8(path).splitlines():
+    for line_no, raw_line in enumerate(read_utf8(path).splitlines(), 1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
             continue
-        row = next(csv.reader(io.StringIO(line)))
-        if len(row) < 2:
-            raise ValueError(f"{path}: dictionary line needs term and label: {raw_line!r}")
-        term, label = row[0].strip(), row[1].strip()
-        norm_id = row[2].strip() if len(row) > 2 and row[2].strip() else None
-        entries.append(DictionaryEntry(term=term, label=label, norm_id=norm_id))
+        row = [cell.strip() for cell in next(csv.reader(io.StringIO(line)))] + ["", ""]
+        try:
+            entries.append(DictionaryEntry(row[0], row[1], row[2] or None))
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {line_no}: {exc}") from exc
     return entries
 
 

@@ -1,5 +1,7 @@
+import concurrent.futures
 import itertools
 import json
+import multiprocessing
 import re
 import shutil
 from pathlib import Path
@@ -13,14 +15,18 @@ from annopipe.core import Entity, create_document
 from annopipe.exceptions import MalformedJsonError, MalformedLineError, SurfaceMismatchError
 from annopipe.io.docjson import serialize_document_json
 from annopipe.io.textdir import load_text_documents
-from annopipe.pipeline import PipelineSpec, run_pipeline
-from annopipe.provenance import build_graph, export_prov
+from annopipe.pipeline import PipelineSpec, as_operation, default_registry, run_pipeline
+from annopipe.provenance import build_graph, export_prov, parse_prov_json
 from annopipe.spans import ModifiedSpan, Span
 from annopipe.textops import DEFAULT_NEGATION_RULES, load_dictionary
 
-from helpers import frozen_write_corpus
+from helpers import frozen_write_corpus, graph_signature
 
 FIXTURES = Path(__file__).parent / "fixtures" / "brat"
+
+# From Python 3.12, forking a process that has threads warns; `annopipe run
+# --workers N` must fork before any thread exists, so that warning fails here.
+pytestmark = pytest.mark.filterwarnings("error:This process .* is multi-threaded:DeprecationWarning")
 
 
 @pytest.fixture()
@@ -267,6 +273,126 @@ def test_document_failing_at_run_time_fails_alone(tmp_path, capsys):
     assert len(failed) == 2
     for name, line in zip(["a.txt", "b.txt"], sorted(failed)):
         assert line.startswith(f"failed: {name}: step 4 (detect_context)")
+
+
+def _run_at(workers, pipeline, corpus, out, *extra):
+    return run_cli(
+        "run",
+        "--pipeline", pipeline,
+        "--input-dir", corpus,
+        "--output-dir", out,
+        "--workers", workers,
+        *extra,
+    )
+
+
+def _files(directory):
+    return {p.name: p.read_text(encoding="utf-8") for p in sorted(directory.iterdir())}
+
+
+def _ids_in_order(text):
+    """``text`` with each random 32-hex-digit id renamed by its first appearance."""
+    seen = {}
+    return re.sub(r"\b[0-9a-f]{32}\b", lambda m: f"id{seen.setdefault(m[0], len(seen))}", text)
+
+
+@pytest.mark.parametrize("fmt", sorted(cli.OUTPUT_EXTENSIONS))
+def test_two_workers_write_the_files_of_one(tmp_path, corpus, fmt):
+    written = []
+    pipeline = demo.pipeline_path("drug_ner_dict")
+    for workers in (1, 2):
+        out = tmp_path / f"out{workers}"
+        assert _run_at(workers, pipeline, corpus, out, "--output-format", fmt) == 0
+        written.append(_files(out))
+    if fmt == "json":  # document and annotation ids are drawn afresh in every run
+        written = [{name: _ids_in_order(text) for name, text in w.items()} for w in written]
+    assert written[0] == written[1]
+    assert len(written[0]) == len(list(corpus.glob("*.txt")))
+
+
+def test_document_failing_in_a_worker_fails_alone_as_inline(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "a.txt").write_text("Pas d'aspirine ce jour.", encoding="utf-8")
+    (corpus / "b.txt").write_text("Rien à signaler.", encoding="utf-8")
+    (corpus / "c.txt").write_text("Prise de paracétamol.", encoding="utf-8")
+    spec = json.loads(json.dumps(CONTEXT_PIPELINE))
+    spec["steps"][4]["params"]["cues_before"] = ["("]
+    pipeline = tmp_path / "bad_cue.json"
+    pipeline.write_text(json.dumps(spec), encoding="utf-8")
+    errs = []
+    for workers in (1, 2):
+        out = tmp_path / f"out{workers}"
+        assert _run_at(workers, pipeline, corpus, out) == 1
+        assert sorted(p.name for p in out.iterdir()) == ["b.ann"]
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1]
+    failed = [line.split(": ")[:2] for line in errs[0].splitlines()]
+    assert failed == [["failed", "a.txt"], ["failed", "c.txt"]]
+
+
+NESTED_DEID_DICT = {
+    "name": "deid_dict_in_test",
+    "inputs": ["sentences"],
+    "outputs": ["drugs"],
+    "steps": CONTEXT_PIPELINE["steps"][2:4],
+}
+
+
+def test_sub_pipeline_registered_in_the_run_process_runs_in_workers(tmp_path, corpus, monkeypatch):
+    registry = default_registry()
+    monkeypatch.setattr(registry, "_ops", dict(registry._ops))
+    name = as_operation(PipelineSpec.from_dict(NESTED_DEID_DICT))
+    outer = {
+        "name": "outer",
+        "inputs": ["doc"],
+        "outputs": ["entities"],
+        "steps": [
+            _step("to_segment", ["doc"], ["full_text"]),
+            _step("split_sentences", ["full_text"], ["sentences"]),
+            _step(name, ["sentences"], ["drugs"]),
+            _step("emit_brat", ["doc", "drugs"], ["entities"]),
+        ],
+    }
+    pipeline = tmp_path / "outer.json"
+    pipeline.write_text(json.dumps(outer), encoding="utf-8")
+    written, graphs = [], []
+    for workers in (1, 2):
+        out, prov = tmp_path / f"out{workers}", tmp_path / f"prov{workers}.json"
+        code = _run_at(workers, pipeline, corpus, out, "--prov-level", "full", "--prov-out", prov)
+        assert code == 0
+        written.append(_files(out))
+        graphs.append(parse_prov_json(prov.read_text(encoding="utf-8")))
+    assert written[0] == written[1] and any(written[0].values())
+    assert graph_signature(graphs[0]) == graph_signature(graphs[1])
+    assert graphs[0].sub_graphs
+
+
+def _corpus_of(tmp_path, count):
+    corpus = tmp_path / f"corpus{count}"
+    corpus.mkdir()
+    for i in range(count):
+        (corpus / f"n{i}.txt").write_text("Prise d'aspirine.", encoding="utf-8")
+    return corpus
+
+
+def test_one_document_at_four_workers_starts_no_pool(tmp_path, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    pipeline = demo.pipeline_path("drug_ner_dict")
+    assert _run_at(4, pipeline, _corpus_of(tmp_path, 1), tmp_path / "out") == 0
+    assert [p.name for p in (tmp_path / "out").iterdir()] == ["n0.ann"]
+    with pytest.raises(AssertionError, match="process pool"):
+        _run_at(4, pipeline, _corpus_of(tmp_path, 2), tmp_path / "out2")
+
+
+def test_workers_above_one_without_fork_exit_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    pipeline = demo.pipeline_path("drug_ner_dict")
+    assert _run_at(2, pipeline, _corpus_of(tmp_path, 2), tmp_path / "out") == 2
+    assert "fork" in _single_error_line(capsys)
 
 
 class TestConvert:
@@ -621,6 +747,15 @@ def _run_with_a_dictionary_line_without_label(tmp):
     return _run_with_a_dictionary(bad)
 
 
+def _run_with_a_dictionary_holding(content):
+    def case(tmp):
+        bad = tmp / "dict.csv"
+        bad.write_text(content, encoding="utf-8")
+        return _run_with_a_dictionary(bad)
+
+    return case
+
+
 def _run_with_a_dictionary(bad):
     tmp = bad.parent
     pipeline = tmp / "pipeline.json"
@@ -649,6 +784,8 @@ BOUNDARY_CASES = {
     "prov export truncated PROV-JSON": _prov_export_of_a_truncated_file,
     "run non-UTF-8 dictionary": _run_with_a_non_utf8_dictionary,
     "run dictionary line without a label": _run_with_a_dictionary_line_without_label,
+    "run dictionary line with an empty label": _run_with_a_dictionary_holding("a,Drug\nb,\n"),
+    "run dictionary line with an empty term": _run_with_a_dictionary_holding("a,Drug\n,Drug\n"),
 }
 
 

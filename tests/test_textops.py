@@ -172,6 +172,20 @@ class TestDictionary:
         with pytest.raises(ValueError):
             load_dictionary(path)
 
+    @pytest.mark.parametrize(
+        "line, field", [("aspirine,", "label"), (",Drug", "term"), (" , Drug ,N02BA01", "term")]
+    )
+    def test_load_dictionary_names_file_and_line_of_an_empty_field(self, tmp_path, line, field):
+        path = tmp_path / "dict.csv"
+        path.write_text(f"# drugs\n{line}\n", encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            load_dictionary(path)
+        assert str(info.value) == f"{path}, line 2: dictionary {field} must be non-empty"
+
+    def test_dictionary_entry_rejects_an_empty_label(self):
+        with pytest.raises(ValueError, match="label must be non-empty"):
+            DictionaryEntry(term="aspirine", label="")
+
 
 def _naive_dictionary_matches(text, entries, strip_accents):
     """All-substrings brute-force oracle for match_dictionary."""
