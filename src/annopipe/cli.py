@@ -114,24 +114,31 @@ def cmd_run(args) -> int:
     workers = min(args.workers, len(docs))
     failures = []
     merged = Tracer(level)
+    names = [doc.metadata.get("filename", doc.id) for doc in docs]
     with prov_out or contextlib.nullcontext(), contextlib.ExitStack() as stack:
+        broken = ()  # what the results raise when a worker dies; nothing inline
         if workers <= 1:
             results = map(_process, docs)
         else:  # imported here, so a run that forks nothing does not pay for them
             import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
+            from concurrent.futures.process import BrokenProcessPool as broken
             if "fork" not in multiprocessing.get_all_start_methods():
                 raise ConfigError("--workers above 1 needs fork, which this platform lacks")
             fork = multiprocessing.get_context("fork")
             pool = stack.enter_context(ProcessPoolExecutor(workers, mp_context=fork))
             results = pool.map(_process, docs, chunksize=max(1, len(docs) // (4 * workers)))
-        for doc, (tracer, payload) in zip(docs, results):
-            name = doc.metadata.get("filename", doc.id)
-            if tracer is None:
-                failures.append((name, payload))
-                continue
-            (out_dir / f"{Path(name).stem}{extension}").write_text(payload, encoding="utf-8")
-            merged.merge(tracer)
+        done = 0
+        try:
+            for name, (tracer, payload) in zip(names, results):
+                done += 1
+                if tracer is None:
+                    failures.append((name, payload))
+                    continue
+                (out_dir / f"{Path(name).stem}{extension}").write_text(payload, encoding="utf-8")
+                merged.merge(tracer)
+        except broken:
+            failures += [(name, "worker process ended abruptly") for name in names[done:]]
         if prov_out:
             _write_prov_json(build_graph(merged), prov_out.write)
             prov_out.write("\n")
@@ -220,9 +227,9 @@ def _load_ann_entities(directory: Path) -> dict[str, list[Entity]]:
     return out
 
 
-def _eval_dirs(pred_dir: str, ref_dir: str, spec: MatchSpec):
+def _eval_dirs(pred_dir: str, ref_dir: str, ref: dict[str, list[Entity]], spec: MatchSpec):
+    """Metrics of the .ann files in ``pred_dir`` against ``ref``, loaded from ``ref_dir``."""
     pred = _load_ann_entities(_directory(pred_dir))
-    ref = _load_ann_entities(_directory(ref_dir))
     for stem in sorted(set(pred) - set(ref)):
         raise MissingCounterpartError(stem, pred_dir)
     for stem in sorted(set(ref) - set(pred)):
@@ -236,14 +243,14 @@ def cmd_eval(args) -> int:
         iou_threshold=args.threshold,
         label_sensitive=not args.label_insensitive,
     )
-    metrics = _eval_dirs(args.pred_dir, args.ref_dir, spec)
-    if args.compare_with:
-        other = _eval_dirs(args.compare_with, args.ref_dir, spec)
-        print(format_metrics(metrics))
+    _directory(args.pred_dir)  # a missing --pred-dir is named before a missing --ref-dir
+    ref = _load_ann_entities(_directory(args.ref_dir))
+    metrics = _eval_dirs(args.pred_dir, args.ref_dir, ref, spec)
+    other = args.compare_with and _eval_dirs(args.compare_with, args.ref_dir, ref, spec)
+    print(format_metrics(metrics))
+    if other:
         print()
         print(compare_runs(metrics, other, name_a="pred", name_b="compare"))
-    else:
-        print(format_metrics(metrics))
     if args.json_out:
         Path(args.json_out).write_text(
             json.dumps(metrics_to_dict(metrics), indent=2) + "\n", encoding="utf-8"

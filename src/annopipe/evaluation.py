@@ -60,21 +60,18 @@ class Metrics:
         return total
 
 
-def _char_set(entity: Entity) -> frozenset:
-    chars = set()
-    for span in normalize_spans(entity.spans):
-        chars.update(range(span.start, span.end))
-    return frozenset(chars)
-
-
-def _start(entity: Entity) -> int:
-    ranges = normalize_spans(entity.spans)
-    return ranges[0].start if ranges else -1
-
-
-def _iou(a: frozenset, b: frozenset) -> float:
-    union = len(a | b)
-    return len(a & b) / union if union else 0.0
+def _located(entities: list[Entity]) -> list[tuple[int, int, int, set]]:
+    """``(first char, last char, index, char set)`` of each entity with
+    characters, from one projection of its spans, sorted."""
+    located = []
+    for i, entity in enumerate(entities):
+        ranges = normalize_spans(entity.spans)
+        if ranges:
+            chars = set()
+            for span in ranges:
+                chars.update(range(span.start, span.end))
+            located.append((ranges[0].start, ranges[-1].end - 1, i, chars))
+    return sorted(located)
 
 
 def align_entities(
@@ -82,50 +79,31 @@ def align_entities(
 ) -> tuple[list[tuple[str, str]], list[Entity], list[Entity]]:
     """One-to-one alignment of predicted and reference entities.
 
-    Exact mode requires identical normalized span lists (and labels when
-    label-sensitive); overlap mode accepts pairs whose character IoU reaches
-    the threshold. Pairs are resolved greedily by descending IoU, ties broken
-    by (ref start, pred start).
+    Overlap mode accepts pairs whose character IoU reaches the threshold;
+    exact mode is overlap at IoU 1, which only equal normalized character
+    sets reach. Labels must agree when label-sensitive. Pairs are resolved
+    greedily by descending IoU, ties broken by (ref start, pred start).
     """
     spec = spec or MatchSpec()
-    pred_sets = [_char_set(e) for e in pred]
-    ref_sets = [_char_set(e) for e in ref]
-
-    def key(entity: Entity, chars: frozenset) -> tuple:
-        return (entity.label if spec.label_sensitive else None, chars)
-
+    threshold = 1.0 if spec.mode == "exact" else spec.iou_threshold
+    # The threshold is above 0, so a pair needs a shared character and
+    # hence overlapping [first, last] ranges: sweep both sides by first
+    # character, keeping open the refs whose range reaches the pred's.
     candidates = []
-    if spec.mode == "exact":
-        # Each pred meets only the refs with its key, in ref order, so the
-        # candidates keep the order of a scan over all pairs.
-        refs_by_key: dict[tuple, list[int]] = {}
-        for ri, r in enumerate(ref):
-            refs_by_key.setdefault(key(r, ref_sets[ri]), []).append(ri)
-        for pi, p in enumerate(pred):
-            if pred_sets[pi]:
-                for ri in refs_by_key.get(key(p, pred_sets[pi]), ()):
-                    candidates.append((1.0, _start(ref[ri]), _start(p), pi, ri))
-    else:
-        # The threshold is above 0, so a pair needs a shared character and
-        # hence overlapping [first, last] ranges: sweep both sides by first
-        # character, keeping open the refs whose range reaches the pred's.
-        def ranges(sets):
-            return sorted((min(s), max(s), i) for i, s in enumerate(sets) if s)
-
-        refs, open_refs, next_ref = ranges(ref_sets), [], 0
-        for lo, hi, pi in ranges(pred_sets):
-            while next_ref < len(refs) and refs[next_ref][0] <= hi:
-                open_refs.append(refs[next_ref])
-                next_ref += 1
-            open_refs = [r for r in open_refs if r[1] >= lo]
-            p = pred[pi]
-            for r_lo, _, ri in open_refs:
-                r = ref[ri]
-                if r_lo > hi or (spec.label_sensitive and p.label != r.label):
-                    continue
-                iou = _iou(pred_sets[pi], ref_sets[ri])
-                if iou >= spec.iou_threshold:
-                    candidates.append((iou, _start(r), _start(p), pi, ri))
+    refs, open_refs, next_ref = _located(ref), [], 0
+    for lo, hi, pi, p_chars in _located(pred):
+        while next_ref < len(refs) and refs[next_ref][0] <= hi:
+            open_refs.append(refs[next_ref])
+            next_ref += 1
+        open_refs = [r for r in open_refs if r[1] >= lo]
+        label = pred[pi].label
+        for r_lo, _, ri, r_chars in open_refs:
+            if r_lo > hi or (spec.label_sensitive and label != ref[ri].label):
+                continue
+            shared = len(p_chars & r_chars)
+            iou = shared / (len(p_chars) + len(r_chars) - shared)
+            if iou >= threshold:
+                candidates.append((iou, r_lo, lo, pi, ri))
     # pi and ri order ties as a pred-major scan over all pairs would.
     candidates.sort(key=lambda c: (-c[0], c[1], c[2], c[3], c[4]))
 
@@ -158,13 +136,8 @@ def align_entities(
         if pi not in match_of_pred:
             augment(pi, set())
 
-    pairs = []
-    seen_pred = set()
-    for _, _, _, pi, ri in candidates:
-        if pi in seen_pred or match_of_pred.get(pi) != ri:
-            continue
-        seen_pred.add(pi)
-        pairs.append((pred[pi].id, ref[ri].id))
+    # Each (pi, ri) is one candidate, so each match gives one pair.
+    pairs = [(pred[pi].id, ref[ri].id) for *_, pi, ri in candidates if match_of_pred.get(pi) == ri]
     unmatched_pred = [p for i, p in enumerate(pred) if i not in match_of_pred]
     unmatched_ref = [r for i, r in enumerate(ref) if i not in match_of_ref]
     return pairs, unmatched_pred, unmatched_ref
@@ -180,10 +153,13 @@ def score(
 
     True positives are counted under the reference label; match_labels
     supplies (pred_label, ref_label) per match. Without it, matches count
-    toward the micro totals under a generic label.
+    toward the micro totals under a generic label. A match_labels of another
+    length than matches raises ValueError.
     """
-    if match_labels is None or len(match_labels) != len(matches):
+    if match_labels is None:
         match_labels = [("entity", "entity")] * len(matches)
+    elif len(match_labels) != len(matches):
+        raise ValueError(f"{len(match_labels)} match labels for {len(matches)} matches")
     metrics = Metrics()
 
     def counts(label: str) -> LabelCounts:

@@ -2,6 +2,7 @@ import concurrent.futures
 import itertools
 import json
 import multiprocessing
+import os
 import re
 import shutil
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 
 from annopipe import cli, demo, ops
 from annopipe.cli import main
-from annopipe.core import Entity, create_document
+from annopipe.core import Entity, create_document, full_text_segment
 from annopipe.exceptions import MalformedJsonError, MalformedLineError, SurfaceMismatchError
 from annopipe.io.docjson import serialize_document_json
 from annopipe.io.textdir import load_text_documents
@@ -368,6 +369,36 @@ def test_sub_pipeline_registered_in_the_run_process_runs_in_workers(tmp_path, co
     assert graphs[0].sub_graphs
 
 
+def test_worker_that_dies_fails_its_documents_without_a_traceback(tmp_path, monkeypatch, capsys):
+    registry = default_registry()
+    monkeypatch.setattr(registry, "_ops", dict(registry._ops))
+    test_pid = os.getpid()
+
+    def segment_or_die_on_n3(params):
+        def run(doc):
+            if doc.metadata["filename"] == "n3.txt" and os.getpid() != test_pid:
+                os._exit(3)
+            return full_text_segment(doc)
+        return run
+
+    registry.register("segment_or_die_on_n3_in_a_worker", segment_or_die_on_n3)
+    spec = json.loads(demo.pipeline_path("drug_ner_dict").read_text(encoding="utf-8"))
+    spec["steps"][0]["op"] = "segment_or_die_on_n3_in_a_worker"
+    pipeline = tmp_path / "dying.json"
+    pipeline.write_text(json.dumps(spec), encoding="utf-8")
+    corpus, out, prov = _corpus_of(tmp_path, 6), tmp_path / "out", tmp_path / "prov.json"
+    code = _run_at(2, pipeline, corpus, out, "--prov-level", "steps", "--prov-out", prov)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    failed = [line.split(": ") for line in err.splitlines()]
+    assert all(f[0] == "failed" and f[2] == "worker process ended abruptly" for f in failed)
+    written = [p.stem + ".txt" for p in out.iterdir()]
+    assert sorted(written + [f[1] for f in failed]) == [f"n{i}.txt" for i in range(6)]
+    assert "n3.txt" not in written
+    assert parse_prov_json(prov.read_text(encoding="utf-8"))
+
+
 def _corpus_of(tmp_path, count):
     corpus = tmp_path / f"corpus{count}"
     corpus.mkdir()
@@ -482,7 +513,7 @@ class TestEval:
         )
         assert code == 2
 
-    def test_compare_with(self, tmp_path, capsys):
+    def test_compare_with(self, tmp_path, capsys, monkeypatch):
         self._write_pair(
             tmp_path, "doc",
             "T1\tDrug 0 8\taspirine\n",
@@ -493,12 +524,16 @@ class TestEval:
         other.mkdir()
         (other / "doc.txt").write_text("aspirine 500", encoding="utf-8")
         (other / "doc.ann").write_text("T1\tDrug 9 12\t500\n", encoding="utf-8")
+        loaded = []
+        load = cli._load_ann_entities
+        monkeypatch.setattr(cli, "_load_ann_entities", lambda d: loaded.append(d) or load(d))
         code = run_cli(
             "eval", "--pred-dir", tmp_path / "pred", "--ref-dir", tmp_path / "ref",
             "--compare-with", other,
         )
         assert code == 0
         assert "winner: pred" in capsys.readouterr().out
+        assert loaded == [tmp_path / "ref", tmp_path / "pred", other]  # the reference once
 
 
 class TestProv:

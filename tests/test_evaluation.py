@@ -1,9 +1,11 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from annopipe import evaluation
 from annopipe.core import Entity
 from annopipe.evaluation import (
     LabelCounts,
@@ -14,8 +16,9 @@ from annopipe.evaluation import (
     format_metrics,
     merge_metrics,
     metrics_to_dict,
+    score,
 )
-from annopipe.spans import Span
+from annopipe.spans import Span, normalize_spans
 
 from helpers import frozen_align_entities
 
@@ -79,6 +82,15 @@ class TestScores:
         assert (micro.tp, micro.fp, micro.fn) == (2, 1, 1)
         for value in (micro.precision, micro.recall, micro.f1):
             assert abs(value - 2 / 3) < 1e-9
+
+    def test_score_without_match_labels_counts_matches_as_entity(self):
+        metrics = score([("p1", "r1"), ("p2", "r2")], [ent(0, 5, "Drug")], [])
+        assert metrics.per_label["entity"].tp == 2
+        assert metrics.per_label["Drug"].fp == 1
+
+    def test_score_rejects_match_labels_of_another_length(self):
+        with pytest.raises(ValueError, match="1 match labels for 2 matches"):
+            score([("p1", "r1"), ("p2", "r2")], [], [], [("Drug", "Drug")])
 
     def test_zero_denominators_give_zero(self):
         counts = LabelCounts()
@@ -155,7 +167,8 @@ class TestReporting:
         assert "winner: tie" in compare_runs(same, same)
 
 
-# Keyed exact-mode alignment against the all-pairs scan it replaced.
+# Alignment in both modes against the all-pairs scan, with exact mode the
+# overlap sweep at IoU 1.
 
 fragments = st.tuples(st.integers(0, 12), st.integers(0, 3)).map(
     lambda t: Span(t[0], t[0] + t[1])
@@ -182,11 +195,16 @@ def test_align_entities_matches_frozen_align(pred, ref, mode, label_sensitive):
     pred = pred + pred[:2]
     ref = ref + ref[1:3]
     spec = MatchSpec(mode=mode, label_sensitive=label_sensitive)
-    got = align_entities(pred, ref, spec)
+    # Each entity's spans are projected onto the raw text once per call.
+    with mock.patch.object(evaluation, "normalize_spans", wraps=normalize_spans) as projected:
+        got = align_entities(pred, ref, spec)
+    assert projected.call_count == len(pred) + len(ref)
     expected = frozen_align_entities(pred, ref, spec)
     assert got[0] == expected[0]
     assert [e.id for e in got[1]] == [e.id for e in expected[1]]
     assert [e.id for e in got[2]] == [e.id for e in expected[2]]
+    if mode == "exact":
+        assert got == align_entities(pred, ref, MatchSpec("overlap", 1.0, label_sensitive))
 
 
 # The overlap sweep compares only pairs whose character ranges overlap; at
