@@ -293,8 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("eval", help="entity-level evaluation of .ann directories")
     ev.add_argument("--pred-dir", required=True)
     ev.add_argument("--ref-dir", required=True)
-    ev.add_argument("--mode", default="exact", choices=["exact", "overlap"])
-    ev.add_argument("--threshold", type=float, default=0.5)
+    ev.add_argument("--mode", default=MatchSpec.mode, choices=["exact", "overlap"])
+    ev.add_argument("--threshold", type=float, default=MatchSpec.iou_threshold)
     ev.add_argument("--label-insensitive", action="store_true")
     ev.add_argument("--json-out", default=None)
     ev.add_argument("--compare-with", default=None)

@@ -1,12 +1,17 @@
 """Built-in operations available to pipeline configs.
 
-Each factory takes the step's params dict and returns a callable. Importing
-this module populates the default registry.
+Each factory takes the step's params dict and returns a callable. Params bind
+by name onto the function or rule type that declares them and their defaults;
+one that names nothing raises TypeError. The callable keeps a copy of the
+params and looks its function up when called. Importing this module
+populates the default registry.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import inspect
 
 from .core import full_text_segment, new_id
 from .io.brat import emit_brat
@@ -28,68 +33,52 @@ from .textops import (
 from .textops.context import _entities_by_sentence
 
 
+def _checked(fn, params: dict, *data) -> dict:
+    """A deep copy of a step's params, checked to bind onto ``fn`` after its data args."""
+    inspect.signature(fn).bind(*data, **params)
+    return copy.deepcopy(params)
+
+
 def _to_segment_factory(params):
-    label = params.get("label", "full_text")
-    return lambda doc: full_text_segment(doc, label=label)
+    kwargs = _checked(full_text_segment, params, None)
+    return lambda doc: full_text_segment(doc, **kwargs)
 
 
 def _split_sentences_factory(params):
-    punct_chars = params.get("punct_chars", ".!?")
-    keep_punct = params.get("keep_punct", True)
-    return lambda seg: split_sentences(seg, punct_chars, keep_punct)
+    kwargs = _checked(split_sentences, params, None)
+    return lambda seg: split_sentences(seg, **kwargs)
 
 
 def _deidentify_factory(params):
-    rules = [DeidRule(r["pattern"], r["placeholder"]) for r in params["rules"]]
-    return lambda seg: deidentify(seg, rules)
-
-
-def _parse_dictionary_params(params) -> list[DictionaryEntry]:
-    if "path" in params:
-        return load_dictionary(params["path"])
-    return [
-        DictionaryEntry(
-            term=e["term"],
-            label=e["label"],
-            norm_id=e.get("norm_id"),
-            case_sensitive=e.get("case_sensitive", False),
-        )
-        for e in params["entries"]
-    ]
+    kwargs = _checked(deidentify, params, None)
+    kwargs["rules"] = [DeidRule(**r) for r in kwargs["rules"]]
+    return lambda seg: deidentify(seg, **kwargs)
 
 
 def _match_dictionary_factory(params):
-    prepared = prepare_dictionary(
-        _parse_dictionary_params(params), params.get("strip_accents", False)
-    )
+    # With both "path" and "entries", prepare_dictionary gets entries twice.
+    rest = dict(params)
+    if "path" in rest:
+        entries = load_dictionary(rest.pop("path"))
+    else:
+        entries = [DictionaryEntry(**e) for e in rest.pop("entries")]
+    prepared = prepare_dictionary(entries, **rest)
     return lambda seg: match_prepared(seg, prepared)
 
 
 def _match_regex_factory(params):
-    rules = [
-        RegexRule(
-            pattern=r["pattern"],
-            label=r["label"],
-            exclusion_pattern=r.get("exclusion_pattern"),
-            group=r.get("group", 0),
-        )
-        for r in params["rules"]
-    ]
-    return lambda seg: match_regex(seg, rules)
+    kwargs = _checked(match_regex, params, None)
+    kwargs["rules"] = [RegexRule(**r) for r in kwargs["rules"]]
+    return lambda seg: match_regex(seg, **kwargs)
 
 
 def _match_dates_factory(params):
-    return match_dates
+    kwargs = _checked(match_dates, params, None)
+    return lambda seg: match_dates(seg, **kwargs)
 
 
 def _detect_context_factory(params):
-    rules = ContextRuleSet(
-        attribute_label=params["attribute_label"],
-        cues_before=params.get("cues_before", []),
-        cues_after=params.get("cues_after", []),
-        terminators=params.get("terminators", []),
-        max_token_window=params.get("max_token_window", 5),
-    )
+    rules = ContextRuleSet(**copy.deepcopy(params))
 
     def run(sentences, entities):
         # New entities carrying the context attribute found in each sentence
@@ -128,7 +117,8 @@ def _detect_context_lineage(args, outputs):
 
 
 def _emit_brat_factory(params):
-    return lambda doc, entities: emit_brat(doc, entities)
+    kwargs = _checked(emit_brat, params, None, None)
+    return lambda doc, entities: emit_brat(doc, entities, **kwargs)
 
 
 def register_builtin_operations(registry: OperationRegistry) -> None:

@@ -50,7 +50,11 @@ class PipelineSpec:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "PipelineSpec":
+        """A spec from its JSON form; ConfigError names a missing or unknown key."""
         try:
+            _known_keys(obj, ("name", "inputs", "outputs", "steps"), "")
+            for index, step in enumerate(obj["steps"]):
+                _known_keys(step, ("op", "params", "inputs", "outputs"), f"step {index}: ")
             return cls(
                 name=obj["name"],
                 pipeline_inputs=list(obj["inputs"]),
@@ -65,7 +69,7 @@ class PipelineSpec:
                     for step in obj["steps"]
                 ],
             )
-        except (KeyError, TypeError) as exc:
+        except (AttributeError, KeyError, TypeError) as exc:
             raise ConfigError(f"invalid pipeline config: {exc}") from exc
 
     def to_dict(self) -> dict:
@@ -83,6 +87,12 @@ class PipelineSpec:
                 for s in self.steps
             ],
         }
+
+
+def _known_keys(obj: dict, allowed: tuple, where: str) -> None:
+    unknown = [key for key in obj.keys() if key not in allowed]
+    if unknown:
+        raise ConfigError(f"invalid pipeline config: {where}unknown key {unknown[0]!r}")
 
 
 @dataclass
@@ -135,16 +145,10 @@ class OperationRegistry:
         self._ops[name] = _Registered(factory, n_inputs, n_outputs, mode, lineage=lineage)
 
     def register_pipeline(self, spec: PipelineSpec) -> None:
-        reg = _Registered(
-            factory=None,
-            n_inputs=len(spec.pipeline_inputs),
-            n_outputs=len(spec.pipeline_outputs),
-            mode="batch",
-            plan=compile_pipeline(spec, self),
-        )
-        if spec.name in self._ops:
-            raise DuplicateNameError(f"operation {spec.name!r} already registered")
-        self._ops[spec.name] = reg
+        plan = compile_pipeline(spec, self)
+        n_inputs, n_outputs = len(spec.pipeline_inputs), len(spec.pipeline_outputs)
+        self.register(spec.name, None, n_inputs, n_outputs, "batch")
+        self._ops[spec.name].plan = plan
 
     def get(self, name: str) -> Optional[_Registered]:
         return self._ops.get(name)
@@ -163,17 +167,10 @@ def default_registry() -> OperationRegistry:
 
 
 def register_operation(
-    name: str,
-    factory: Callable,
-    n_inputs: int = 1,
-    n_outputs: int = 1,
-    mode: str = "item",
-    registry: Optional[OperationRegistry] = None,
-    lineage: Optional[Lineage] = None,
+    name: str, factory: Callable, *args, registry: Optional[OperationRegistry] = None, **kwargs
 ) -> None:
-    (registry or _default_registry).register(
-        name, factory, n_inputs, n_outputs, mode, lineage
-    )
+    """``OperationRegistry.register`` on ``registry``, the default one if None."""
+    (registry or _default_registry).register(name, factory, *args, **kwargs)
 
 
 def as_operation(

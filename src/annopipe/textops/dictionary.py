@@ -29,10 +29,12 @@ class DictionaryEntry:
 
 
 def load_dictionary(path) -> list[DictionaryEntry]:
-    """Read a dictionary file: UTF-8, "term,label,norm_id" lines, "#" comments.
-    A line without a term or label raises ValueError naming the file and line."""
+    """Read a dictionary file: UTF-8, "term,label,norm_id" lines, "#" comments,
+    a leading byte order mark ignored. A line without a term or label raises
+    ValueError naming the file and line."""
     entries = []
-    for line_no, raw_line in enumerate(read_utf8(path).splitlines(), 1):
+    text = read_utf8(path).removeprefix("\ufeff")
+    for line_no, raw_line in enumerate(text.splitlines(), 1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
             continue

@@ -21,7 +21,7 @@ class RegexRule:
         self._exclusion = (
             re.compile(self.exclusion_pattern) if self.exclusion_pattern else None
         )
-        if self.group > self._compiled.groups:
+        if not 0 <= self.group <= self._compiled.groups:
             raise ValueError(
                 f"group {self.group} not present in pattern {self.pattern!r}"
             )

@@ -1,4 +1,5 @@
 import concurrent.futures
+import copy
 import itertools
 import json
 import multiprocessing
@@ -250,6 +251,42 @@ def test_run_loads_a_path_dictionary_once(tmp_path, corpus, monkeypatch):
     assert code == 0
     assert len(list((tmp_path / "out").glob("*.ann"))) == len(list(corpus.glob("*.txt"))) > 1
     assert loaded == [str(demo.dictionary_path())]
+
+
+def _regex_rule_with_grup(step):
+    step["op"] = "match_regex"
+    step["params"] = {"rules": [{"pattern": r"\baspirine\b", "label": "Drug", "grup": 0}]}
+
+
+# (misspelt name, index of the step it sits in, edit of that step)
+MISSPELT_STEPS = [
+    ("keep_punc", 1, lambda step: step["params"].update(keep_punc=False)),
+    ("param", 1, lambda step: step.update(param=step.pop("params"))),
+    ("strip_accent", 3, lambda step: step["params"].update(strip_accent=True)),
+    (
+        "case_sensitve", 3,
+        lambda step: step.update(params={"entries": [{"term": "a", "label": "Drug", "case_sensitve": True}]}),
+    ),
+    ("grup", 3, _regex_rule_with_grup),
+    ("max_token_windw", 4, lambda step: step["params"].update(max_token_windw=3)),
+]
+
+
+@pytest.mark.parametrize("name, index, edit", MISSPELT_STEPS, ids=[m[0] for m in MISSPELT_STEPS])
+def test_run_with_a_misspelt_param_or_key_exits_2_before_any_document(
+    tmp_path, corpus, capsys, name, index, edit
+):
+    config = copy.deepcopy(CONTEXT_PIPELINE)
+    edit(config["steps"][index])
+    pipeline = tmp_path / "pipeline.json"
+    pipeline.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "out"
+    code = run_cli("run", "--pipeline", pipeline, "--input-dir", corpus, "--output-dir", out)
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and f"step {index}" in err[0]
+    assert repr(name) in err[0]
+    assert not out.exists()
 
 
 def test_document_failing_at_run_time_fails_alone(tmp_path, capsys):

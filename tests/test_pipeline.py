@@ -1,4 +1,5 @@
 import itertools
+import json
 from dataclasses import dataclass
 from unittest import mock
 
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 
 import helpers
 
+from annopipe import demo, ops
+from annopipe.core import create_document
 from annopipe.exceptions import (
     ConfigError,
     DuplicateNameError,
@@ -22,6 +25,7 @@ from annopipe.pipeline import (
     PipelineStep,
     as_operation,
     compile_pipeline,
+    register_operation,
     run_pipeline,
     validate_pipeline,
 )
@@ -84,6 +88,24 @@ class TestSpecSerialization:
     def test_from_dict_rejects_missing_keys(self):
         with pytest.raises(ConfigError):
             PipelineSpec.from_dict({"name": "x"})
+
+    @pytest.mark.parametrize(
+        "where, step, top",
+        [
+            ("step 0: ", {"param": {"keep_punct": False}}, {}),
+            ("step 0: ", {"ouputs": ["z"]}, {}),
+            ("", {}, {"output": ["y"]}),
+        ],
+        ids=["step-param", "step-ouputs", "file-output"],
+    )
+    def test_from_dict_rejects_unknown_keys(self, where, step, top):
+        obj = {
+            "name": "x", "inputs": ["x"], "outputs": ["y"], **top,
+            "steps": [{"op": "split_sentences", "inputs": ["x"], "outputs": ["y"], **step}],
+        }
+        (key,) = step or top
+        with pytest.raises(ConfigError, match=f"^invalid pipeline config: {where}unknown key '{key}'$"):
+            PipelineSpec.from_dict(obj)
 
 
 class TestValidation:
@@ -518,3 +540,116 @@ class TestStepRunnerMatchesFrozen:
     def test_untraced_step_has_no_lineage(self):
         registered = _Registered(None, 1, 1, "item")
         assert _run_step(registered, lambda x: [x, x], [[1, 2]], None) == (([1, 1, 2, 2],), None)
+
+
+DEID_RULE = {"pattern": r"\b\d{2}/\d{2}/\d{4}\b", "placeholder": "[DATE]"}
+REGEX_RULE = {"pattern": r"\baspirine\b", "label": "Drug"}
+ENTRY = {"term": "aspirine", "label": "Drug"}
+CONTEXT = {"attribute_label": "is_negated", "cues_before": [r"\bpas\b"]}
+
+
+def _builtin_spec(op, params):
+    """A pipeline over one document whose last step runs ``op`` with ``params``."""
+    step = {
+        "to_segment": ("doc", ["full"]),
+        "split_sentences": ("full", ["out"]),
+        "deidentify": ("full", ["out", "phi"]),
+        "match_dictionary": ("full", ["out"]),
+        "match_regex": ("full", ["out"]),
+        "match_dates": ("full", ["out"]),
+        "detect_context": ("sentences dates", ["out"]),
+        "emit_brat": ("doc dates", ["out"]),
+    }
+    inputs, outputs = step[op]
+    steps = [] if op == "to_segment" else [PipelineStep("to_segment", {}, ["doc"], ["full"])]
+    if op in ("detect_context", "emit_brat"):
+        steps.append(PipelineStep("split_sentences", {}, ["full"], ["sentences"]))
+        steps.append(PipelineStep("match_dates", {}, ["sentences"], ["dates"]))
+    steps.append(PipelineStep(op, params, inputs.split(), outputs))
+    return spec_of(steps, inputs=["doc"], outputs=outputs[:1])
+
+
+# (op, params, the name a misspelt or contradictory param leaves unbound)
+MISSPELT_PARAMS = [
+    ("to_segment", {"lable": "text"}, "lable"),
+    ("split_sentences", {"keep_punc": False}, "keep_punc"),
+    ("split_sentences", {"punct_char": ".;"}, "punct_char"),
+    ("deidentify", {"rules": [DEID_RULE], "rule": [DEID_RULE]}, "rule"),
+    ("deidentify", {"rules": [{**DEID_RULE, "label": "date"}]}, "label"),
+    ("match_dictionary", {"entries": [ENTRY], "strip_accent": True}, "strip_accent"),
+    ("match_dictionary", {"entries": [{**ENTRY, "case_sensitve": True}]}, "case_sensitve"),
+    ("match_dictionary", {"path": str(demo.dictionary_path()), "entries": [ENTRY]}, "entries"),
+    ("match_dictionary", {"path": str(demo.dictionary_path()), "strip_accent": True}, "strip_accent"),
+    ("match_regex", {"rules": [REGEX_RULE], "group": 1}, "group"),
+    ("match_regex", {"rules": [{**REGEX_RULE, "grup": 0}]}, "grup"),
+    ("match_dates", {"lang": "fr"}, "lang"),
+    ("detect_context", {**CONTEXT, "max_token_windw": 3}, "max_token_windw"),
+    ("emit_brat", {"format": "brat"}, "format"),
+]
+
+
+class TestBuiltinParams:
+    @pytest.mark.parametrize("op, params, name", MISSPELT_PARAMS)
+    def test_param_the_op_does_not_take_fails_the_compile(self, op, params, name):
+        spec = _builtin_spec(op, params)
+        with pytest.raises(StepFailureError) as err:
+            compile_pipeline(spec)
+        assert (err.value.step_index, err.value.op_name) == (len(spec.steps) - 1, op)
+        assert isinstance(err.value.cause, TypeError)
+        assert repr(name) in str(err.value)
+
+    @pytest.mark.parametrize("op", sorted({op for op, _, _ in MISSPELT_PARAMS}))
+    def test_spelt_params_compile_and_run(self, op):
+        params = {
+            "deidentify": {"rules": [DEID_RULE]},
+            "match_dictionary": {"entries": [ENTRY], "strip_accents": True},
+            "match_regex": {"rules": [{**REGEX_RULE, "group": 0}]},
+            "detect_context": {**CONTEXT, "max_token_window": 3},
+        }.get(op, {})
+        plan = compile_pipeline(_builtin_spec(op, params))
+        run_pipeline(plan, {"doc": create_document("Pas d'aspirine le 12/03/2021. Revu.")})
+
+    def test_ops_look_their_functions_up_when_called(self, monkeypatch):
+        plan = compile_pipeline(PipelineSpec.from_dict(
+            json.loads(demo.pipeline_path("drug_ner_dict").read_text(encoding="utf-8"))
+        ))
+        calls = {"deidentify": 0, "match_prepared": 0}
+
+        def counting(name):
+            fn = getattr(ops, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(ops, name, counting(name))
+        run_pipeline(plan, {"doc": create_document("Aspirine le 12/03/2021. Revu.")})
+        assert calls["deidentify"] > 0 and calls["match_prepared"] > 0
+
+    def test_editing_a_spec_after_compile_leaves_the_plan(self):
+        spec = _builtin_spec("split_sentences", {"punct_chars": ["."], "keep_punct": False})
+        plan = compile_pipeline(spec)
+        spec.steps[-1].params["keep_punct"] = True
+        spec.steps[-1].params["punct_chars"].append(";")
+        sentences = run_pipeline(plan, {"doc": create_document("Un; deux. Trois.")})["out"]
+        assert [s.text for s in sentences] == ["Un; deux", "Trois"]
+
+    def test_editing_a_cue_list_after_compile_leaves_the_plan(self):
+        spec = _builtin_spec("detect_context", dict(CONTEXT, cues_before=[r"\bpas\b"]))
+        plan = compile_pipeline(spec)
+        spec.steps[-1].params["cues_before"].append(r"\bsans\b")
+        (date,) = run_pipeline(plan, {"doc": create_document("Vu sans le 12/03/2021.")})["out"]
+        assert date.attributes[-1].value is False
+
+    def test_register_operation_forwards_to_register(self):
+        reg = OperationRegistry()
+        lineage = lambda args, outputs: []  # noqa: E731
+        register_operation("pairs", lambda params: zip, 2, 1, "batch", lineage=lineage, registry=reg)
+        register_operation("same", lambda params: (lambda x: x), registry=reg)
+        assert reg.get("pairs") == _Registered(reg.get("pairs").factory, 2, 1, "batch", lineage=lineage)
+        assert (reg.get("same").n_inputs, reg.get("same").n_outputs, reg.get("same").mode) == (1, 1, "item")
+        with pytest.raises(DuplicateNameError):
+            register_operation("same", lambda params: None, registry=reg)

@@ -166,6 +166,14 @@ class TestDictionary:
             ("aspirine", "Drug", None),
         ]
 
+    def test_load_dictionary_ignores_a_leading_byte_order_mark(self, tmp_path):
+        path = tmp_path / "dict.csv"
+        path.write_bytes(b"\xef\xbb\xbfaspirine,Drug,B01\nparacetamol,Drug\n")
+        entries = load_dictionary(path)
+        assert [e.term for e in entries] == ["aspirine", "paracetamol"]
+        entities = match_dictionary(seg_of("Aspirine ce matin."), entries)
+        assert [(e.text, e.label) for e in entities] == [("Aspirine", "Drug")]
+
     def test_load_dictionary_rejects_short_line(self, tmp_path):
         path = tmp_path / "dict.csv"
         path.write_text("paracétamol\n", encoding="utf-8")
@@ -265,6 +273,10 @@ class TestRegex:
     def test_invalid_group_rejected(self):
         with pytest.raises(ValueError):
             RegexRule(pattern=r"abc", label="x", group=2)
+
+    def test_negative_group_rejected_naming_the_pattern(self):
+        with pytest.raises(ValueError, match=re.escape("group -1 not present in pattern '(a)bc'")):
+            RegexRule(pattern=r"(a)bc", label="x", group=-1)
 
     def test_results_sorted_by_position(self):
         rules = [
