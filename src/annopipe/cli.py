@@ -4,6 +4,9 @@ Exit codes: 0 success, 1 partial failure (some documents failed), 2 config
 or usage error. ``main`` is the one error boundary: an OSError or
 AnnopipeError from any command (a bad input, an unwritable output) becomes one
 ``error:`` line and exit 2. Input files are read through ``read_utf8``.
+
+Each command imports the modules it runs when it starts, so parsing the
+command line loads only argparse.
 """
 
 from __future__ import annotations
@@ -11,34 +14,27 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import ops  # noqa: F401  (register builtin operations)
-from .core import Annotation, Document, Entity
-from .evaluation import (
-    MatchSpec,
-    compare_runs,
-    evaluate,
-    format_metrics,
-    merge_metrics,
-    metrics_to_dict,
-)
 from .exceptions import AnnopipeError, ConfigError, MalformedJsonError, MalformedLineError
 from .exceptions import MissingCounterpartError, SurfaceMismatchError
-from .io.brat import emit_brat, parse_brat
-from .io.doccano import emit_doccano_jsonl, parse_doccano_jsonl
-from .io.docjson import parse_document_json, serialize_document_json
-from .io.textdir import load_text_documents, read_utf8
-from .pipeline import Plan, PipelineSpec, compile_pipeline, run_pipeline
-from .provenance import Tracer, VerbosityLevel, build_graph, export_prov, parse_prov_json
-from .provenance import _write_prov_json
+
+if TYPE_CHECKING:
+    from .core import Annotation, Document, Entity
+    from .evaluation import MatchSpec
+    from .pipeline import Plan
 
 OUTPUT_EXTENSIONS = {"brat": ".ann", "doccano": ".jsonl", "json": ".json"}
 
 
 def _load_pipeline(path: str) -> Plan:
     """Read a pipeline config taking one document, and compile it."""
+    from .io.textdir import read_utf8
+    from .pipeline import PipelineSpec, compile_pipeline
+
     try:
         obj = json.loads(read_utf8(path))
     except (OSError, json.JSONDecodeError) as exc:
@@ -53,6 +49,8 @@ def _load_pipeline(path: str) -> Plan:
 
 
 def _collect_annotations(outputs: dict) -> tuple[list[Annotation], list[str]]:
+    from .core import Annotation
+
     annotations: list[Annotation] = []
     texts: list[str] = []
     for value in outputs.values():
@@ -65,39 +63,61 @@ def _collect_annotations(outputs: dict) -> tuple[list[Annotation], list[str]]:
     return annotations, texts
 
 
-def _emit(doc: Document, annotations: list[Annotation], emitted: list[str], fmt: str) -> str:
-    """One document's payload in ``fmt``, a key of OUTPUT_EXTENSIONS."""
+def _emitter(fmt: str):
+    """``emit(doc, annotations, emitted)``, one document's payload in ``fmt``, a key
+    of OUTPUT_EXTENSIONS, where ``emitted`` holds the Brat texts a pipeline made.
+    Only the format's own module is imported."""
     if fmt == "brat":
-        if emitted:
-            return emitted[0]
-        return emit_brat(doc, annotations)
+        from .io.brat import emit_brat
+
+        return lambda doc, annotations, emitted: emitted[0] if emitted else emit_brat(
+            doc, annotations
+        )
     if fmt == "doccano":
-        entities = [a for a in annotations if isinstance(a, Entity)]
-        return emit_doccano_jsonl(doc, entities) + "\n"
-    for ann in annotations:
-        if doc.get_annotation(ann.id) is None:
-            doc.attach(ann)
-    return serialize_document_json(doc)
+        from .core import Entity
+        from .io.doccano import emit_doccano_jsonl
+
+        return lambda doc, annotations, emitted: emit_doccano_jsonl(
+            doc, [a for a in annotations if isinstance(a, Entity)]
+        ) + "\n"
+    from .io.docjson import serialize_document_json
+
+    def emit_json(doc, annotations, emitted):
+        for ann in annotations:
+            if doc.get_annotation(ann.id) is None:
+                doc.attach(ann)
+        return serialize_document_json(doc)
+
+    return emit_json
 
 
-# (plan, input key, output format, level) of the run; forked workers inherit it.
+# (plan, input key, emitter, level) of the run; forked workers inherit it.
 _RUN = None
 
 
 def _process(doc: Document):
     """``(tracer, payload)`` of one document under ``_RUN``, or ``(None, message)``:
     a message crosses back from a worker, as some AnnopipeErrors do not unpickle."""
-    plan, input_key, fmt, level = _RUN
+    from .pipeline import run_pipeline
+    from .provenance import Tracer
+
+    plan, input_key, emit, level = _RUN
     try:
         tracer = Tracer(level)
         annotations, emitted = _collect_annotations(run_pipeline(plan, {input_key: doc}, tracer))
-        return tracer, _emit(doc, annotations, emitted, fmt)
+        return tracer, emit(doc, annotations, emitted)
     except Exception as exc:
         return None, str(exc)
 
 
 def cmd_run(args) -> int:
     global _RUN
+    # What _process runs is imported before any worker forks, so that no
+    # worker compiles a module: provenance here, the plan's modules by
+    # _load_pipeline and the writer by _emitter.
+    from .io.textdir import load_text_documents
+    from .provenance import Tracer, VerbosityLevel, _write_prov_json, build_graph
+
     plan = _load_pipeline(args.pipeline)
     level = VerbosityLevel.parse(args.prov_level)
     if args.workers < 1:
@@ -110,7 +130,7 @@ def cmd_run(args) -> int:
     prov_out = open(args.prov_out, "w", encoding="utf-8") if args.prov_out else None
 
     extension = OUTPUT_EXTENSIONS[args.output_format]
-    _RUN = (plan, plan.spec.pipeline_inputs[0], args.output_format, level)
+    _RUN = (plan, plan.spec.pipeline_inputs[0], _emitter(args.output_format), level)
     workers = min(args.workers, len(docs))
     failures = []
     merged = Tracer(level)
@@ -159,6 +179,8 @@ def _directory(path: str) -> Path:
 def _parse(path, parse, *args):
     """``parse`` of the UTF-8 text at ``path``; a parse error keeps its type and
     its message gains the file's path in front."""
+    from .io.textdir import read_utf8
+
     try:
         return parse(read_utf8(path), *args)
     except (MalformedLineError, SurfaceMismatchError, MalformedJsonError) as exc:
@@ -171,6 +193,9 @@ def _load_corpus(fmt: str, path: str) -> list[tuple[str, Document]]:
     if fmt in ("brat", "json"):
         path = _directory(path)
     if fmt == "brat":
+        from .io.brat import parse_brat
+        from .io.textdir import load_text_documents
+
         pairs = []
         for txt in sorted(path.glob("*.txt")):
             doc = load_text_documents(txt)[0]
@@ -181,6 +206,9 @@ def _load_corpus(fmt: str, path: str) -> list[tuple[str, Document]]:
             pairs.append((txt.stem, doc))
         return pairs
     if fmt == "doccano":
+        from .io.doccano import parse_doccano_jsonl
+        from .io.textdir import read_utf8
+
         pairs = []
         lines = read_utf8(path).splitlines()
         for line_no, line in enumerate(lines, 1):
@@ -192,6 +220,8 @@ def _load_corpus(fmt: str, path: str) -> list[tuple[str, Document]]:
                 raise MalformedJsonError(f"{path}, line {line_no}: {exc}") from exc
             pairs.append((f"doc_{len(pairs) + 1:04d}", doc))
         return pairs
+    from .io.docjson import parse_document_json
+
     files = sorted(path.glob("*.json"))
     return [(file.stem, _parse(file, parse_document_json)) for file in files]
 
@@ -199,7 +229,8 @@ def _load_corpus(fmt: str, path: str) -> list[tuple[str, Document]]:
 def _write_corpus(fmt: str, path: str, pairs: list[tuple[str, Document]]) -> None:
     # Built before the first write, so a document that cannot be emitted
     # leaves nothing written.
-    payloads = [(stem, doc, _emit(doc, doc.annotations, [], fmt)) for stem, doc in pairs]
+    emit = _emitter(fmt)
+    payloads = [(stem, doc, emit(doc, doc.annotations, [])) for stem, doc in pairs]
     path = Path(path)
     if fmt == "doccano":
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -218,17 +249,26 @@ def cmd_convert(args) -> int:
 
 
 def _load_ann_entities(directory: Path) -> dict[str, list[Entity]]:
+    """Entities of each .ann file in ``directory`` by stem, in name order; each is
+    checked against the .txt of its stem, if the directory lists one."""
+    from .core import Entity
+    from .io.brat import parse_brat
+    from .io.textdir import read_utf8
+
+    names = set(os.listdir(directory))
     out = {}
-    for ann_file in sorted(directory.glob("*.ann")):
-        txt_file = ann_file.with_suffix(".txt")
-        doc_text = read_utf8(txt_file) if txt_file.exists() else None
-        annotations = _parse(ann_file, parse_brat, doc_text)
-        out[ann_file.stem] = [a for a in annotations if isinstance(a, Entity)]
+    for name in sorted(n for n in names if n.endswith(".ann")):
+        stem = name[: -len(".ann")]
+        doc_text = read_utf8(directory / f"{stem}.txt") if f"{stem}.txt" in names else None
+        annotations = _parse(directory / name, parse_brat, doc_text)
+        out[stem] = [a for a in annotations if isinstance(a, Entity)]
     return out
 
 
 def _eval_dirs(pred_dir: str, ref_dir: str, ref: dict[str, list[Entity]], spec: MatchSpec):
     """Metrics of the .ann files in ``pred_dir`` against ``ref``, loaded from ``ref_dir``."""
+    from .evaluation import evaluate, merge_metrics
+
     pred = _load_ann_entities(_directory(pred_dir))
     for stem in sorted(set(pred) - set(ref)):
         raise MissingCounterpartError(stem, pred_dir)
@@ -238,11 +278,11 @@ def _eval_dirs(pred_dir: str, ref_dir: str, ref: dict[str, list[Entity]], spec: 
 
 
 def cmd_eval(args) -> int:
-    spec = MatchSpec(
-        mode=args.mode,
-        iou_threshold=args.threshold,
-        label_sensitive=not args.label_insensitive,
-    )
+    from .evaluation import MatchSpec, compare_runs, format_metrics, metrics_to_dict
+
+    # --mode and --threshold are absent unless given: MatchSpec states their defaults.
+    given = {key: getattr(args, key) for key in ("mode", "iou_threshold") if key in args}
+    spec = MatchSpec(**given, label_sensitive=not args.label_insensitive)
     _directory(args.pred_dir)  # a missing --pred-dir is named before a missing --ref-dir
     ref = _load_ann_entities(_directory(args.ref_dir))
     metrics = _eval_dirs(args.pred_dir, args.ref_dir, ref, spec)
@@ -259,6 +299,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_prov(args) -> int:
+    from .provenance import export_prov, parse_prov_json
+
     payload = export_prov(_parse(args.in_path, parse_prov_json), args.format)
     if args.out_path:
         Path(args.out_path).write_text(payload, encoding="utf-8")
@@ -293,8 +335,11 @@ def build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("eval", help="entity-level evaluation of .ann directories")
     ev.add_argument("--pred-dir", required=True)
     ev.add_argument("--ref-dir", required=True)
-    ev.add_argument("--mode", default=MatchSpec.mode, choices=["exact", "overlap"])
-    ev.add_argument("--threshold", type=float, default=MatchSpec.iou_threshold)
+    ev.add_argument("--mode", default=argparse.SUPPRESS, choices=["exact", "overlap"])
+    ev.add_argument(
+        "--threshold", dest="iou_threshold", metavar="THRESHOLD", type=float,
+        default=argparse.SUPPRESS,
+    )
     ev.add_argument("--label-insensitive", action="store_true")
     ev.add_argument("--json-out", default=None)
     ev.add_argument("--compare-with", default=None)

@@ -1,14 +1,8 @@
-from .brat import emit_brat, parse_brat
-from .doccano import emit_doccano_jsonl, parse_doccano_jsonl
-from .docjson import parse_document_json, serialize_document_json
-from .textdir import load_text_documents
+from .. import _lazy
 
-__all__ = [
-    "parse_brat",
-    "emit_brat",
-    "parse_doccano_jsonl",
-    "emit_doccano_jsonl",
-    "serialize_document_json",
-    "parse_document_json",
-    "load_text_documents",
-]
+__all__, __getattr__, __dir__ = _lazy(__name__, {
+    "brat": ("parse_brat", "emit_brat"),
+    "doccano": ("parse_doccano_jsonl", "emit_doccano_jsonl"),
+    "docjson": ("serialize_document_json", "parse_document_json"),
+    "textdir": ("load_text_documents",),
+})

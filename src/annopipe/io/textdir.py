@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 from ..core import Document, create_document
@@ -25,7 +26,7 @@ def load_text_documents(path) -> list[Document]:
     """
     path = Path(path)
     if path.is_dir():
-        files = sorted(path.glob("*.txt"))
+        files = [path / name for name in sorted(os.listdir(path)) if name.endswith(".txt")]
     else:
         files = [path]
     return [create_document(read_utf8(file), {"filename": file.name}) for file in files]

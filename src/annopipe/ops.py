@@ -3,8 +3,10 @@
 Each factory takes the step's params dict and returns a callable. Params bind
 by name onto the function or rule type that declares them and their defaults;
 one that names nothing raises TypeError. The callable keeps a copy of the
-params and looks its function up when called. Importing this module
-populates the default registry.
+params and looks its function up when called. ``default_registry`` registers
+these operations the first time it is used. The context, date and regex
+factories import their textops module when a plan binds them, so validating a
+pipeline imports none of them.
 """
 
 from __future__ import annotations
@@ -15,22 +17,10 @@ import inspect
 
 from .core import full_text_segment, new_id
 from .io.brat import emit_brat
-from .pipeline import OperationRegistry, default_registry
-from .textops import (
-    ContextRuleSet,
-    DeidRule,
-    DictionaryEntry,
-    RegexRule,
-    deidentify,
-    detect_context,
-    load_dictionary,
-    match_dates,
-    match_prepared,
-    match_regex,
-    prepare_dictionary,
-    split_sentences,
-)
-from .textops.context import _entities_by_sentence
+from .pipeline import OperationRegistry
+from .textops.deid import DeidRule, deidentify
+from .textops.dictionary import DictionaryEntry, load_dictionary, match_prepared, prepare_dictionary
+from .textops.sentences import split_sentences
 
 
 def _checked(fn, params: dict, *data) -> dict:
@@ -67,27 +57,33 @@ def _match_dictionary_factory(params):
 
 
 def _match_regex_factory(params):
-    kwargs = _checked(match_regex, params, None)
-    kwargs["rules"] = [RegexRule(**r) for r in kwargs["rules"]]
-    return lambda seg: match_regex(seg, **kwargs)
+    from .textops import regexp
+
+    kwargs = _checked(regexp.match_regex, params, None)
+    kwargs["rules"] = [regexp.RegexRule(**r) for r in kwargs["rules"]]
+    return lambda seg: regexp.match_regex(seg, **kwargs)
 
 
 def _match_dates_factory(params):
-    kwargs = _checked(match_dates, params, None)
-    return lambda seg: match_dates(seg, **kwargs)
+    from .textops import dates
+
+    kwargs = _checked(dates.match_dates, params, None)
+    return lambda seg: dates.match_dates(seg, **kwargs)
 
 
 def _detect_context_factory(params):
-    rules = ContextRuleSet(**copy.deepcopy(params))
+    from .textops import context
+
+    rules = context.ContextRuleSet(**copy.deepcopy(params))
 
     def run(sentences, entities):
         # New entities carrying the context attribute found in each sentence
         # that holds them, in sentence order; the inputs stay untouched, so
         # provenance can derive one from the other.
         added = {e.id: [] for e in entities}
-        for sentence, held in zip(sentences, _entities_by_sentence(sentences, entities)):
+        for sentence, held in zip(sentences, context._entities_by_sentence(sentences, entities)):
             if held:
-                for entity_id, attribute in detect_context(sentence, held, rules):
+                for entity_id, attribute in context.detect_context(sentence, held, rules):
                     added[entity_id].append(attribute)
         return [
             dataclasses.replace(
@@ -105,6 +101,8 @@ def _detect_context_factory(params):
 
 def _detect_context_lineage(args, outputs):
     """Output entity k derives from input entity k and each sentence holding it."""
+    from .textops.context import _entities_by_sentence
+
     sentences, entities = args
     holders = {id(e): [] for e in entities}
     for sentence, held in zip(sentences, _entities_by_sentence(sentences, entities)):
@@ -132,6 +130,3 @@ def register_builtin_operations(registry: OperationRegistry) -> None:
         "detect_context", _detect_context_factory, 2, 1, "batch", _detect_context_lineage
     )
     registry.register("emit_brat", _emit_brat_factory, 2, 1, "batch")
-
-
-register_builtin_operations(default_registry())

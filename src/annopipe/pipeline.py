@@ -159,10 +159,19 @@ class OperationRegistry:
         return clone
 
 
-_default_registry = OperationRegistry()
+_default_registry: Optional[OperationRegistry] = None
 
 
 def default_registry() -> OperationRegistry:
+    """The registry steps resolve against when none is given; the built-in
+    operations of ``ops`` register in it the first time it is asked for."""
+    global _default_registry
+    if _default_registry is None:
+        from .ops import register_builtin_operations
+
+        registry = OperationRegistry()
+        register_builtin_operations(registry)
+        _default_registry = registry
     return _default_registry
 
 
@@ -170,21 +179,21 @@ def register_operation(
     name: str, factory: Callable, *args, registry: Optional[OperationRegistry] = None, **kwargs
 ) -> None:
     """``OperationRegistry.register`` on ``registry``, the default one if None."""
-    (registry or _default_registry).register(name, factory, *args, **kwargs)
+    (registry or default_registry()).register(name, factory, *args, **kwargs)
 
 
 def as_operation(
     spec: PipelineSpec, registry: Optional[OperationRegistry] = None
 ) -> str:
     """Register a pipeline as an operation under its own name."""
-    (registry or _default_registry).register_pipeline(spec)
+    (registry or default_registry()).register_pipeline(spec)
     return spec.name
 
 
 def validate_pipeline(
     spec: PipelineSpec, registry: Optional[OperationRegistry] = None
 ) -> list[ValidationIssue]:
-    registry = registry or _default_registry
+    registry = registry or default_registry()
     issues: list[ValidationIssue] = []
     available = set(spec.pipeline_inputs)
     produced = set(spec.pipeline_inputs)
@@ -284,7 +293,7 @@ def compile_pipeline(
     Raises ConfigError for an invalid spec and StepFailureError when a
     factory fails.
     """
-    registry = registry or _default_registry
+    registry = registry or default_registry()
     issues = validate_pipeline(spec, registry)
     if issues:
         raise ConfigError("invalid pipeline: " + "; ".join(i.reason for i in issues))

@@ -394,14 +394,21 @@ def _graph_from_dict(doc: dict) -> ProvGraph:
     return graph
 
 
+def _dot_quote(text: str) -> str:
+    """``text`` as a DOT double-quoted string."""
+    text = text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+    return f'"{text}"'
+
+
 def _write_dot(graph: ProvGraph, write) -> None:
+    q = _dot_quote
     for ent in sorted(graph.entities):
-        write(f'  "{ent}" [shape=ellipse];\n')
+        write(f"  {q(ent)} [shape=ellipse];\n")
     for act in graph.activities.values():
-        write(f'  "{act.id}" [shape=box, label="{act.name}"];\n')
+        write(f"  {q(act.id)} [shape=box, label={q(act.name)}];\n")
     for field_name, section, *_ in _RELATIONS:
         for a, b in getattr(graph, field_name):
-            write(f'  "{a}" -> "{b}" [label="{section}"];\n')
+            write(f"  {q(a)} -> {q(b)} [label={q(section)}];\n")
     for sub in graph.sub_graphs.values():
         _write_dot(sub, write)
 

@@ -850,22 +850,31 @@ def frozen_graph_from_dict(doc: dict) -> ProvGraph:
     return graph
 
 
+def _dot_string(text: str) -> str:
+    """``text`` double-quoted for DOT, with backslash, quote and newline escaped."""
+    escaped = text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+    return f'"{escaped}"'
+
+
 def frozen_graph_to_dot(graph: ProvGraph, lines=None) -> str:
+    """The DOT writer as it stood before it streamed, with each quoted string
+    escaped (the writer of that time wrote them raw, giving invalid DOT)."""
+    q = _dot_string
     top = lines is None
     if top:
         lines = ["digraph provenance {"]
     for ent in sorted(graph.entities):
-        lines.append(f'  "{ent}" [shape=ellipse];')
+        lines.append(f'  {q(ent)} [shape=ellipse];')
     for act in graph.activities.values():
-        lines.append(f'  "{act.id}" [shape=box, label="{act.name}"];')
+        lines.append(f'  {q(act.id)} [shape=box, label={q(act.name)}];')
     for act, ent in graph.used:
-        lines.append(f'  "{act}" -> "{ent}" [label="used"];')
+        lines.append(f'  {q(act)} -> {q(ent)} [label="used"];')
     for ent, act in graph.was_generated_by:
-        lines.append(f'  "{ent}" -> "{act}" [label="wasGeneratedBy"];')
+        lines.append(f'  {q(ent)} -> {q(act)} [label="wasGeneratedBy"];')
     for gen, src in graph.was_derived_from:
-        lines.append(f'  "{gen}" -> "{src}" [label="wasDerivedFrom"];')
+        lines.append(f'  {q(gen)} -> {q(src)} [label="wasDerivedFrom"];')
     for informed, informant in graph.was_informed_by:
-        lines.append(f'  "{informed}" -> "{informant}" [label="wasInformedBy"];')
+        lines.append(f'  {q(informed)} -> {q(informant)} [label="wasInformedBy"];')
     for sub in graph.sub_graphs.values():
         frozen_graph_to_dot(sub, lines)
     if top:

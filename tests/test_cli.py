@@ -11,7 +11,7 @@ from unittest import mock
 
 import pytest
 
-from annopipe import cli, demo, ops
+from annopipe import cli, demo, ops, provenance
 from annopipe.cli import main
 from annopipe.core import Entity, create_document, full_text_segment
 from annopipe.exceptions import MalformedJsonError, MalformedLineError, SurfaceMismatchError
@@ -713,7 +713,7 @@ def test_prov_out_is_export_prov_of_the_merged_trace(tmp_path, corpus, monkeypat
         merged.append(tracer)
         return _counted_ids(build_graph, tracer)
 
-    monkeypatch.setattr(cli, "build_graph", build)
+    monkeypatch.setattr(provenance, "build_graph", build)
     prov = tmp_path / "prov.json"
     code = run_cli(
         "run",

@@ -252,6 +252,24 @@ class TestExport:
         assert 'label="preprocess"' in dot
         assert "wasGeneratedBy" in dot
 
+    def test_dot_escapes_backslash_quote_and_newline(self):
+        tracer = Tracer(VerbosityLevel.STEPS)
+        name = 'split "fast"\nv2\\'
+        tracer.record(OperationDescriptor(name=name), sources=['in "1"'], outputs=["out\n1"])
+        graph = build_graph(tracer)
+        dot = export_prov(graph, "dot")
+        (act_id,) = graph.activities
+        assert f'  "{act_id}" [shape=box, label="split \\"fast\\"\\nv2\\\\"];\n' in dot
+        assert '  "in \\"1\\"" [shape=ellipse];\n' in dot
+        assert f'  "out\\n1" -> "{act_id}" [label="wasGeneratedBy"];\n' in dot
+        # One statement a line, and every quoted string closes on its line.
+        statements = dot.splitlines()[1:-1]
+        assert len(statements) == len(graph.entities) + 1 + 3  # used, generated, derived
+        for line in statements:
+            assert line.replace("\\\\", "").replace('\\"', "").count('"') % 2 == 0
+        # PROV-JSON keeps each string as it is.
+        assert parse_prov_json(export_prov(graph)).activities[act_id].name == name
+
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             export_prov(ProvGraph(), "xml")

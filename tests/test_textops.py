@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from annopipe import demo, ops  # noqa: F401  (register builtin operations)
+from annopipe import demo
 from annopipe.core import Entity, Segment, create_document, full_text_segment
 from annopipe.exceptions import ScopeError
 from annopipe.pipeline import default_registry
@@ -40,6 +40,7 @@ from annopipe.textops import (
     prepare_dictionary,
     split_sentences,
 )
+from annopipe.textops import context as context_module
 from annopipe.textops import dictionary as dictionary_module
 from helpers import (
     entity_fingerprint,
@@ -705,7 +706,7 @@ def test_detect_context_runs_once_per_sentence_holding_entities(seed):
         return detect_context(sentence, held, rules)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ops, "detect_context", counting)
+        mp.setattr(context_module, "detect_context", counting)
         default_registry().get("detect_context").factory(_rule_params(rules))(
             sentences, entities
         )
