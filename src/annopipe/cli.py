@@ -119,7 +119,8 @@ def cmd_run(args) -> int:
     from .provenance import Tracer, VerbosityLevel, _write_prov_json, build_graph
 
     plan = _load_pipeline(args.pipeline)
-    level = VerbosityLevel.parse(args.prov_level)
+    # A trace is recorded only to be written: without --prov-out, none.
+    level = VerbosityLevel.parse(args.prov_level if args.prov_out else "none")
     if args.workers < 1:
         raise ConfigError("workers must be >= 1")
     docs = load_text_documents(args.input_dir)
@@ -282,7 +283,10 @@ def cmd_eval(args) -> int:
 
     # --mode and --threshold are absent unless given: MatchSpec states their defaults.
     given = {key: getattr(args, key) for key in ("mode", "iou_threshold") if key in args}
-    spec = MatchSpec(**given, label_sensitive=not args.label_insensitive)
+    try:
+        spec = MatchSpec(**given, label_sensitive=not args.label_insensitive)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     _directory(args.pred_dir)  # a missing --pred-dir is named before a missing --ref-dir
     ref = _load_ann_entities(_directory(args.ref_dir))
     metrics = _eval_dirs(args.pred_dir, args.ref_dir, ref, spec)

@@ -6,3 +6,10 @@ __all__, __getattr__, __dir__ = _lazy(__name__, {
     "docjson": ("serialize_document_json", "parse_document_json"),
     "textdir": ("load_text_documents",),
 })
+
+
+def _logger(name):
+    """The logger ``name``; logging is imported only when something is logged."""
+    import logging
+
+    return logging.getLogger(name)

@@ -11,15 +11,13 @@ scoped per file; emission renumbers T/A/R sequentially in attachment order.
 
 from __future__ import annotations
 
-import logging
 import re
 from typing import Optional
 
+from . import _logger
 from ..core import Annotation, Attribute, Entity, Relation, Segment
 from ..exceptions import EmptyProjectionError, MalformedLineError, SurfaceMismatchError
 from ..spans import Span, normalize_spans
-
-logger = logging.getLogger(__name__)
 
 # Separator joining the surface text of discontinuous fragments
 DISCONTINUOUS_SEP = " "
@@ -101,7 +99,7 @@ def parse_brat(ann_text: str, doc_text: Optional[str] = None) -> list[Annotation
             pending_relations.append((line_no, label, arg1, arg2))
         else:
             skipped += 1
-            logger.warning("line %d: skipping unsupported sigil %r", line_no, sigil)
+            _logger(__name__).warning("line %d: skipping unsupported sigil %r", line_no, sigil)
 
     for line_no, label, arg1, arg2 in pending_relations:
         for arg in (arg1, arg2):
@@ -115,7 +113,7 @@ def parse_brat(ann_text: str, doc_text: Optional[str] = None) -> list[Annotation
             )
         )
     if skipped:
-        logger.info("skipped %d unsupported line(s)", skipped)
+        _logger(__name__).info("skipped %d unsupported line(s)", skipped)
     return annotations
 
 
@@ -182,7 +180,9 @@ def emit_brat(doc, annotations: list[Annotation]) -> str:
         arg1 = tid_by_ann_id.get(rel.source_id)
         arg2 = tid_by_ann_id.get(rel.target_id)
         if arg1 is None or arg2 is None:
-            logger.warning("relation %s references an unexported entity; skipped", rel.id)
+            _logger(__name__).warning(
+                "relation %s references an unexported entity; skipped", rel.id
+            )
             continue
         r_lines.append(f"R{rel_num}\t{rel.label} Arg1:{arg1} Arg2:{arg2}")
         rel_num += 1

@@ -8,13 +8,11 @@ is written and a warning is logged.
 from __future__ import annotations
 
 import json
-import logging
 
+from . import _logger
 from ..core import Document, Entity, create_document
 from ..exceptions import MalformedJsonError, OutOfBoundsError
 from ..spans import Span
-
-logger = logging.getLogger(__name__)
 
 
 def parse_doccano_jsonl(line: str) -> tuple[Document, list[Entity]]:
@@ -58,10 +56,10 @@ def emit_doccano_jsonl(doc: Document, entities: list[Entity]) -> str:
     for entity in entities:
         fragments = entity.normalized_spans()
         if not fragments:
-            logger.warning("entity %s projects to nothing; skipped", entity.id)
+            _logger(__name__).warning("entity %s projects to nothing; skipped", entity.id)
             continue
         if len(fragments) > 1:
-            logger.warning(
+            _logger(__name__).warning(
                 "entity %s is discontinuous; exporting first fragment only", entity.id
             )
         labels.append([fragments[0].start, fragments[0].end, entity.label])

@@ -81,9 +81,9 @@ def _detect_context_factory(params):
         # that holds them, in sentence order; the inputs stay untouched, so
         # provenance can derive one from the other.
         added = {e.id: [] for e in entities}
-        for sentence, held in zip(sentences, context._entities_by_sentence(sentences, entities)):
-            if held:
-                for entity_id, attribute in context.detect_context(sentence, held, rules):
+        for sentence, scoped in zip(sentences, context._scoped(sentences, entities)):
+            if scoped:
+                for entity_id, attribute in context._scan(sentence, scoped, rules):
                     added[entity_id].append(attribute)
         return [
             dataclasses.replace(
@@ -101,12 +101,12 @@ def _detect_context_factory(params):
 
 def _detect_context_lineage(args, outputs):
     """Output entity k derives from input entity k and each sentence holding it."""
-    from .textops.context import _entities_by_sentence
+    from .textops.context import _scoped
 
     sentences, entities = args
     holders = {id(e): [] for e in entities}
-    for sentence, held in zip(sentences, _entities_by_sentence(sentences, entities)):
-        for entity in held:
+    for sentence, scoped in zip(sentences, _scoped(sentences, entities)):
+        for entity, _, _ in scoped:
             holders[id(entity)].append(sentence)
     for entity, derived in zip(entities, outputs[0]):
         yield derived, entity

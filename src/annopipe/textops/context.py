@@ -69,15 +69,6 @@ DEFAULT_FAMILY_RULES = ContextRuleSet(
 )
 
 
-def _original_cover(sentence: Segment) -> list[Span]:
-    """Merged original ranges of the sentence's own characters.
-
-    Placeholder (modified) characters stand for text the sentence no longer
-    shows, so they cover nothing.
-    """
-    return normalize_spans(s for s in sentence.spans if isinstance(s, Span))
-
-
 def _covers(cover: list[Span], ranges: list[Span]) -> bool:
     """Whether every range lies inside one range of a merged cover."""
     starts = [r.start for r in cover]
@@ -88,21 +79,31 @@ def _covers(cover: list[Span], ranges: list[Span]) -> bool:
     return True
 
 
-def _entities_by_sentence(
+def _scoped(
     sentences: list[Segment], entities: list[Entity]
-) -> list[list[Entity]]:
-    """For each sentence, the entities it holds, in input order.
+) -> list[list[tuple[Entity, int, int]]]:
+    """For each sentence, ``(entity, start, end)`` of every entity it holds, in
+    input order, with ``[start, end)`` the entity's range in the sentence's text.
 
     A sentence holds an entity when its original characters contain all of
     the entity's normalized original range; an entity with no original range
-    is held by none. One index of the sentences' covers, sorted by original
-    offset, finds the candidates of each entity by bisection.
+    is held by none. Placeholder (modified) characters stand for text the
+    sentence no longer shows, so they hold nothing. The range runs from the
+    first to the last sentence character the entity covers. One index of the
+    sentences' merged original ranges, sorted by offset, finds the
+    candidates of each entity by bisection.
     """
-    covers = [_original_cover(s) for s in sentences]
+    pieces = []  # per sentence: its original spans with their offsets in its text
+    covers = []
+    for sentence in sentences:
+        offsets = accumulate((s.length for s in sentence.spans), initial=0)
+        own = [(o, s) for o, s in zip(offsets, sentence.spans) if isinstance(s, Span)]
+        pieces.append(own)
+        covers.append(normalize_spans(s for _, s in own))
     index = sorted((r.start, r.end, i) for i, cover in enumerate(covers) for r in cover)
     starts = [start for start, _, _ in index]
     reach = list(accumulate((end for _, end, _ in index), max))
-    held: list[list[Entity]] = [[] for _ in sentences]
+    held: list[list[tuple[Entity, int, int]]] = [[] for _ in sentences]
     for entity in entities:
         ranges = normalize_spans(entity.spans)
         if not ranges:
@@ -114,53 +115,24 @@ def _entities_by_sentence(
         while k >= 0 and reach[k] >= first.end:
             _, end, i = index[k]
             if end >= first.end and _covers(covers[i], ranges[1:]):
-                held[i].append(entity)
+                overlaps = (
+                    (o + max(p.start, r.start) - p.start, o + min(p.end, r.end) - p.start)
+                    for o, p in pieces[i]
+                    for r in ranges
+                )
+                los, his = zip(*((lo, hi) for lo, hi in overlaps if lo < hi))
+                held[i].append((entity, min(los), max(his)))
             k -= 1
     return held
 
 
-def _local_range(
-    entity: Entity, pieces: list[tuple[int, Span]], cover: list[Span]
-) -> tuple[int, int]:
-    """The entity's [start, end) within the sentence's own text.
-
-    `pieces` are the sentence's original spans with their offsets in its text.
-    """
-    ent_ranges = normalize_spans(entity.spans)
-    if not ent_ranges:
-        raise ScopeError(f"entity {entity.id} projects to no original span")
-    first = last = None
-    for offset, piece in pieces:
-        for r in ent_ranges:
-            lo, hi = max(piece.start, r.start), min(piece.end, r.end)
-            if lo < hi:
-                lo, hi = offset + lo - piece.start, offset + hi - piece.start
-                first = lo if first is None else min(first, lo)
-                last = hi if last is None else max(last, hi)
-    if first is None:
-        raise ScopeError(f"entity {entity.id} lies outside the sentence")
-    if not _covers(cover, ent_ranges):
-        raise ScopeError(f"entity {entity.id} extends beyond the sentence")
-    return first, last
-
-
-def detect_context(
-    sentence: Segment, entities: list[Entity], rules: ContextRuleSet
+def _scan(
+    sentence: Segment, scoped: list[tuple[Entity, int, int]], rules: ContextRuleSet
 ) -> list[tuple[str, Attribute]]:
-    """(entity_id, attribute) pairs; one attribute per entity, True or False.
-
-    Cues, terminators and tokens are scanned once per call, so evaluate all
-    the entities of a sentence together, as the detect_context operation
-    does. Raises ScopeError when an entity is not wholly inside the sentence.
-    """
+    """(entity_id, attribute) of each ``(entity, start, end)`` in ``scoped``,
+    ``[start, end)`` in the sentence's text. Cues, terminators and tokens are
+    scanned once per call."""
     text = sentence.text
-    offsets = accumulate((s.length for s in sentence.spans), initial=0)
-    pieces = [
-        (offset, span)
-        for offset, span in zip(offsets, sentence.spans)
-        if isinstance(span, Span)
-    ]
-    cover = _original_cover(sentence)
     tokens = [m.span() for m in re.finditer(r"\S+", text)]
     token_starts = [start for start, _ in tokens]
     token_ends = [end for _, end in tokens]
@@ -182,8 +154,7 @@ def detect_context(
         return max(0, bisect_right(token_ends, hi) - bisect_left(token_starts, lo))
 
     results = []
-    for entity in entities:
-        ent_start, ent_end = _local_range(entity, pieces, cover)
+    for entity, ent_start, ent_end in scoped:
         triggered = any(
             cue_end <= ent_start
             and tokens_between(cue_end, ent_start) <= rules.max_token_window
@@ -197,3 +168,20 @@ def detect_context(
         )
         results.append((entity.id, Attribute(label=rules.attribute_label, value=triggered)))
     return results
+
+
+def detect_context(
+    sentence: Segment, entities: list[Entity], rules: ContextRuleSet
+) -> list[tuple[str, Attribute]]:
+    """(entity_id, attribute) pairs; one attribute per entity, True or False.
+
+    Cues, terminators and tokens are scanned once per call, so evaluate all
+    the entities of a sentence together. Raises ScopeError naming an entity
+    that is not wholly inside the sentence.
+    """
+    (scoped,) = _scoped([sentence], entities)
+    if len(scoped) < len(entities):
+        placed = {id(entity) for entity, _, _ in scoped}
+        lost = next(e for e in entities if id(e) not in placed)
+        raise ScopeError(f"entity {lost.id} does not lie wholly inside the sentence")
+    return _scan(sentence, scoped, rules)

@@ -72,6 +72,20 @@ class TestRun:
         doc = json.loads(prov.read_text(encoding="utf-8"))
         assert doc["activity"] and doc["wasGeneratedBy"]
 
+    @pytest.mark.parametrize("level", ["steps", "full"])
+    def test_run_without_prov_out_traces_nothing(self, tmp_path, corpus, monkeypatch, level):
+        # No trace is written, so none is recorded, whatever --prov-level says.
+        records = []
+        record = provenance.Tracer.record
+        monkeypatch.setattr(
+            provenance.Tracer, "record", lambda *a, **k: records.append(a) or record(*a, **k)
+        )
+        pipeline = demo.pipeline_path("drug_ner_dict")
+        assert _run_at(1, pipeline, corpus, tmp_path / "none") == 0
+        assert _run_at(1, pipeline, corpus, tmp_path / level, "--prov-level", level) == 0
+        assert records == []
+        assert _files(tmp_path / level) == _files(tmp_path / "none")
+
     def test_bad_pipeline_path_exits_2(self, tmp_path, corpus):
         code = run_cli(
             "run",
@@ -536,6 +550,21 @@ class TestEval:
         )
         assert code == 0
         assert json.loads(json_out.read_text(encoding="utf-8"))["micro"]["tp"] == 1
+
+    @pytest.mark.parametrize("threshold", ["0", "2"])
+    def test_threshold_outside_0_1_exits_2(self, tmp_path, capsys, threshold):
+        self._write_pair(
+            tmp_path, "doc",
+            "T1\tDrug 0 8\taspirine\n",
+            "T1\tDrug 0 8\taspirine\n",
+            "aspirine 500",
+        )
+        code = run_cli(
+            "eval", "--pred-dir", tmp_path / "pred", "--ref-dir", tmp_path / "ref",
+            "--mode", "overlap", "--threshold", threshold,
+        )
+        assert code == 2
+        _single_error_line(capsys)
 
     def test_missing_counterpart_exits_2(self, tmp_path, capsys):
         self._write_pair(

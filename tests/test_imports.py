@@ -84,7 +84,8 @@ CLI = "import sys\nfrom annopipe.cli import main\nassert main(sys.argv[1:]) == 0
 
 def test_eval_loads_no_pipeline_provenance_or_textops(tmp_path):
     loaded = _loaded(
-        CLI, "eval", "--pred-dir", demo.reference_dir(), "--ref-dir", demo.reference_dir(),
+        CLI + "\nassert 'logging' not in sys.modules",
+        "eval", "--pred-dir", demo.reference_dir(), "--ref-dir", demo.reference_dir(),
         "--json-out", tmp_path / "eval.json",
     )
     assert "annopipe.evaluation" in loaded and "annopipe.io.brat" in loaded

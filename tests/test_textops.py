@@ -698,18 +698,29 @@ def test_detect_context_op_matches_frozen_op(seed):
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_detect_context_runs_once_per_sentence_holding_entities(seed):
+    # One scan per sentence holding entities, and each sentence and entity
+    # projected once per scoping pass: once untraced, again for the lineage.
     sentences, entities, rules = context_case(seed)
     calls = []
+    projections = []
+    scan = context_module._scan
 
-    def counting(sentence, held, rules):
+    def counting(sentence, scoped, rules):
         calls.append(sentence)
-        return detect_context(sentence, held, rules)
+        return scan(sentence, scoped, rules)
 
+    def projecting(spans):
+        projections.append(spans)
+        return normalize_spans(spans)
+
+    registered = default_registry().get("detect_context")
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(context_module, "detect_context", counting)
-        default_registry().get("detect_context").factory(_rule_params(rules))(
-            sentences, entities
-        )
+        mp.setattr(context_module, "_scan", counting)
+        mp.setattr(context_module, "normalize_spans", projecting)
+        outputs = registered.factory(_rule_params(rules))(sentences, entities)
+        assert len(projections) == len(entities) + len(sentences)
+        list(registered.lineage((sentences, entities), (outputs,)))
+        assert len(projections) == 2 * (len(entities) + len(sentences))
     holding = [s for s in sentences if any(_holds(s, e) for e in entities)]
     assert calls == holding
 
