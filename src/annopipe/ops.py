@@ -2,73 +2,55 @@
 
 Each factory takes the step's params dict and returns a callable. Params bind
 by name onto the function or rule type that declares them and their defaults;
-one that names nothing raises TypeError. The callable keeps a copy of the
-params and looks its function up when called. ``default_registry`` registers
-these operations the first time it is used. The context, date and regex
-factories import their textops module when a plan binds them, so validating a
-pipeline imports none of them.
+one that names nothing raises TypeError. Every factory imports the module
+behind its operation when a plan binds the step, so validating a pipeline
+imports no text operation. The callable keeps a copy of the params and looks
+its function up on that module when called. ``default_registry`` registers
+these operations the first time it is used.
 """
 
 from __future__ import annotations
 
 import copy
 import dataclasses
+import importlib
 import inspect
 
-from .core import full_text_segment, new_id
-from .io.brat import emit_brat
+from .core import new_id
 from .pipeline import OperationRegistry
-from .textops.deid import DeidRule, deidentify
-from .textops.dictionary import DictionaryEntry, load_dictionary, match_prepared, prepare_dictionary
-from .textops.sentences import split_sentences
 
 
-def _checked(fn, params: dict, *data) -> dict:
-    """A deep copy of a step's params, checked to bind onto ``fn`` after its data args."""
-    inspect.signature(fn).bind(*data, **params)
-    return copy.deepcopy(params)
+def _bound(module: str, name: str, rule: str, n_data: int):
+    """A factory binding a step's params onto function ``name`` of ``module``,
+    after its ``n_data`` data args; with a ``rule`` type, each dict of the
+    ``rules`` param becomes one of those."""
 
+    def factory(params):
+        mod = importlib.import_module(module, __package__)
+        inspect.signature(getattr(mod, name)).bind(*[None] * n_data, **params)
+        kwargs = copy.deepcopy(params)
+        if rule:
+            kwargs["rules"] = [getattr(mod, rule)(**r) for r in kwargs["rules"]]
+        return lambda *data: getattr(mod, name)(*data, **kwargs)
 
-def _to_segment_factory(params):
-    kwargs = _checked(full_text_segment, params, None)
-    return lambda doc: full_text_segment(doc, **kwargs)
-
-
-def _split_sentences_factory(params):
-    kwargs = _checked(split_sentences, params, None)
-    return lambda seg: split_sentences(seg, **kwargs)
-
-
-def _deidentify_factory(params):
-    kwargs = _checked(deidentify, params, None)
-    kwargs["rules"] = [DeidRule(**r) for r in kwargs["rules"]]
-    return lambda seg: deidentify(seg, **kwargs)
+    return factory
 
 
 def _match_dictionary_factory(params):
-    # With both "path" and "entries", prepare_dictionary gets entries twice.
+    from .textops import dictionary
+
     rest = dict(params)
-    if "path" in rest:
-        entries = load_dictionary(rest.pop("path"))
+    path = rest.pop("path", None)
+    # Only the names are checked: with a path, the entries come from its file.
+    inspect.signature(dictionary.prepare_dictionary).bind_partial(**rest)
+    if ("path" in params) == ("entries" in rest):
+        raise TypeError("match_dictionary takes exactly one of 'entries' and 'path'")
+    if "path" in params:
+        entries = dictionary.load_dictionary(path)
     else:
-        entries = [DictionaryEntry(**e) for e in rest.pop("entries")]
-    prepared = prepare_dictionary(entries, **rest)
-    return lambda seg: match_prepared(seg, prepared)
-
-
-def _match_regex_factory(params):
-    from .textops import regexp
-
-    kwargs = _checked(regexp.match_regex, params, None)
-    kwargs["rules"] = [regexp.RegexRule(**r) for r in kwargs["rules"]]
-    return lambda seg: regexp.match_regex(seg, **kwargs)
-
-
-def _match_dates_factory(params):
-    from .textops import dates
-
-    kwargs = _checked(dates.match_dates, params, None)
-    return lambda seg: dates.match_dates(seg, **kwargs)
+        entries = [dictionary.DictionaryEntry(**e) for e in rest.pop("entries")]
+    prepared = dictionary.prepare_dictionary(entries, **rest)
+    return lambda seg: dictionary.match_prepared(seg, prepared)
 
 
 def _detect_context_factory(params):
@@ -114,19 +96,22 @@ def _detect_context_lineage(args, outputs):
             yield derived, sentence
 
 
-def _emit_brat_factory(params):
-    kwargs = _checked(emit_brat, params, None, None)
-    return lambda doc, entities: emit_brat(doc, entities, **kwargs)
+# The operations that call one function: (name, module, function, rule type
+# of its "rules" param, n_inputs, n_outputs, mode).
+_FUNCTIONS = (
+    ("to_segment", ".core", "full_text_segment", "", 1, 1, "item"),
+    ("split_sentences", ".textops.sentences", "split_sentences", "", 1, 1, "item"),
+    ("deidentify", ".textops.deid", "deidentify", "DeidRule", 1, 2, "item"),
+    ("match_regex", ".textops.regexp", "match_regex", "RegexRule", 1, 1, "item"),
+    ("match_dates", ".textops.dates", "match_dates", "", 1, 1, "item"),
+    ("emit_brat", ".io.brat", "emit_brat", "", 2, 1, "batch"),
+)
 
 
 def register_builtin_operations(registry: OperationRegistry) -> None:
-    registry.register("to_segment", _to_segment_factory, 1, 1, "item")
-    registry.register("split_sentences", _split_sentences_factory, 1, 1, "item")
-    registry.register("deidentify", _deidentify_factory, 1, 2, "item")
+    for name, module, function, rule, n_inputs, n_outputs, mode in _FUNCTIONS:
+        registry.register(name, _bound(module, function, rule, n_inputs), n_inputs, n_outputs, mode)
     registry.register("match_dictionary", _match_dictionary_factory, 1, 1, "item")
-    registry.register("match_regex", _match_regex_factory, 1, 1, "item")
-    registry.register("match_dates", _match_dates_factory, 1, 1, "item")
     registry.register(
         "detect_context", _detect_context_factory, 2, 1, "batch", _detect_context_lineage
     )
-    registry.register("emit_brat", _emit_brat_factory, 2, 1, "batch")

@@ -50,11 +50,11 @@ class PipelineSpec:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "PipelineSpec":
-        """A spec from its JSON form; ConfigError names a missing or unknown key."""
+        """A spec from its JSON form; ConfigError names a missing, unknown or mistyped key."""
         try:
-            _known_keys(obj, ("name", "inputs", "outputs", "steps"), "")
+            _checked_keys(obj, _PIPELINE_KEYS, "")
             for index, step in enumerate(obj["steps"]):
-                _known_keys(step, ("op", "params", "inputs", "outputs"), f"step {index}: ")
+                _checked_keys(step, _STEP_KEYS, f"step {index}: ")
             return cls(
                 name=obj["name"],
                 pipeline_inputs=list(obj["inputs"]),
@@ -89,10 +89,20 @@ class PipelineSpec:
         }
 
 
-def _known_keys(obj: dict, allowed: tuple, where: str) -> None:
-    unknown = [key for key in obj.keys() if key not in allowed]
-    if unknown:
-        raise ConfigError(f"invalid pipeline config: {where}unknown key {unknown[0]!r}")
+# The keys of a pipeline config and of each of its steps, with the JSON type of each.
+_PIPELINE_KEYS = {"name": str, "inputs": list, "outputs": list, "steps": list}
+_STEP_KEYS = {"op": str, "params": dict, "inputs": list, "outputs": list}
+_JSON_TYPES = {str: "a string", list: "a list", dict: "an object"}
+
+
+def _checked_keys(obj: dict, types: dict, where: str) -> None:
+    """ConfigError for the first key of ``obj`` not in ``types`` or of another type."""
+    for key, value in obj.items():
+        if key not in types:
+            raise ConfigError(f"invalid pipeline config: {where}unknown key {key!r}")
+        if not isinstance(value, types[key]):
+            kind = f"{_JSON_TYPES[types[key]]}, not {type(value).__name__}"
+            raise ConfigError(f"invalid pipeline config: {where}{key!r} must be {kind}")
 
 
 @dataclass
@@ -112,7 +122,6 @@ class _Registered:
     n_inputs: int
     n_outputs: int
     mode: str  # "item" or "batch"
-    plan: Optional["Plan"] = None  # set for a registered sub-pipeline
     lineage: Optional[Lineage] = None
 
 
@@ -143,12 +152,6 @@ class OperationRegistry:
         if lineage is not None and mode != "batch":
             raise ValueError("only batch operations declare their lineage")
         self._ops[name] = _Registered(factory, n_inputs, n_outputs, mode, lineage=lineage)
-
-    def register_pipeline(self, spec: PipelineSpec) -> None:
-        plan = compile_pipeline(spec, self)
-        n_inputs, n_outputs = len(spec.pipeline_inputs), len(spec.pipeline_outputs)
-        self.register(spec.name, None, n_inputs, n_outputs, "batch")
-        self._ops[spec.name].plan = plan
 
     def get(self, name: str) -> Optional[_Registered]:
         return self._ops.get(name)
@@ -185,8 +188,18 @@ def register_operation(
 def as_operation(
     spec: PipelineSpec, registry: Optional[OperationRegistry] = None
 ) -> str:
-    """Register a pipeline as an operation under its own name."""
-    (registry or default_registry()).register_pipeline(spec)
+    """Register a pipeline as an operation under its own name; its factory
+    returns the plan compiled here, and fails for a step that gives params."""
+    registry = registry or default_registry()
+    plan = compile_pipeline(spec, registry)
+
+    def factory(params):
+        if params:
+            raise TypeError(f"a nested pipeline takes no params, got {next(iter(params))!r}")
+        return plan
+
+    n_inputs, n_outputs = len(spec.pipeline_inputs), len(spec.pipeline_outputs)
+    registry.register(spec.name, factory, n_inputs, n_outputs, "batch")
     return spec.name
 
 
@@ -273,7 +286,7 @@ def _output_id(minted: dict, item) -> str:
 class _BoundStep(NamedTuple):
     step: PipelineStep
     registered: _Registered
-    op: Optional[Callable]  # None for a sub-pipeline, which runs its own plan
+    op: "Callable | Plan"  # a sub-pipeline's op is its plan
 
 
 @dataclass(frozen=True)
@@ -289,7 +302,6 @@ def compile_pipeline(
 ) -> Plan:
     """Validate a spec and call each step's factory, once.
 
-    A sub-pipeline step reuses the plan compiled when it was registered.
     Raises ConfigError for an invalid spec and StepFailureError when a
     factory fails.
     """
@@ -300,12 +312,10 @@ def compile_pipeline(
     steps = []
     for index, step in enumerate(spec.steps):
         registered = registry.get(step.op_name)
-        op = None
-        if registered.plan is None:
-            try:
-                op = registered.factory(step.params)
-            except Exception as exc:
-                raise StepFailureError(index, step.op_name, exc) from exc
+        try:
+            op = registered.factory(step.params)
+        except Exception as exc:
+            raise StepFailureError(index, step.op_name, exc) from exc
         steps.append(_BoundStep(step, registered, op))
     return Plan(spec, tuple(steps))
 
@@ -411,17 +421,16 @@ def _execute(
     for index, (step, registered, op) in enumerate(plan.steps):
         args = [env[k] for k in step.input_keys]
         try:
-            if registered.plan is not None:
-                sub = registered.plan
+            if isinstance(op, Plan):
                 sub_scope = None
                 if minted is not None:
                     sub_scope = tracer.open_scope(
-                        OperationDescriptor(name=sub.spec.name, config=step.params),
+                        OperationDescriptor(name=op.spec.name, config=step.params),
                         parent=scope,
                     )
-                sub_inputs = dict(zip(sub.spec.pipeline_inputs, args))
-                result = _execute(sub, sub_inputs, tracer, sub_scope, minted)
-                outputs = tuple(result[k] for k in sub.spec.pipeline_outputs)
+                sub_inputs = dict(zip(op.spec.pipeline_inputs, args))
+                result = _execute(op, sub_inputs, tracer, sub_scope, minted)
+                outputs = tuple(result[k] for k in op.spec.pipeline_outputs)
             else:
                 outputs, lineage = _run_step(registered, op, args, minted)
                 if lineage is not None:

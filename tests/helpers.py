@@ -19,7 +19,7 @@ from annopipe.exceptions import ArityMismatchError, ConfigError, InvalidRangeErr
 from annopipe.io.brat import emit_brat
 from annopipe.io.doccano import emit_doccano_jsonl
 from annopipe.io.docjson import serialize_document_json
-from annopipe.pipeline import Lineage, _items, _output_id, _Registered, _source_id
+from annopipe.pipeline import Lineage, Plan, _items, _output_id, _Registered, _source_id
 from annopipe.provenance import Activity, ProvGraph, Tracer, VerbosityLevel
 from annopipe.spans import Span, normalize_spans
 from annopipe.textops import ContextRuleSet
@@ -771,11 +771,11 @@ def expected_derivations(plan, env: dict) -> list:
     for step, registered, op in plan.steps:
         args = [env[k] for k in step.input_keys]
         outs = [env[k] for k in step.output_keys]
-        if registered.plan is not None:
-            sub = registered.plan.spec
+        if isinstance(op, Plan):
+            sub = op.spec
             inner = dict(zip(sub.pipeline_inputs, args))
             inner.update(zip(sub.pipeline_outputs, outs))
-            expected.extend(expected_derivations(registered.plan, inner))
+            expected.extend(expected_derivations(op, inner))
         elif step.op_name == "detect_context":
             expected.append((step.op_name, _context_derivations(args, outs)))
         elif registered.mode == "batch":

@@ -11,7 +11,7 @@ from unittest import mock
 
 import pytest
 
-from annopipe import cli, demo, ops, provenance
+from annopipe import cli, demo, provenance
 from annopipe.cli import main
 from annopipe.core import Entity, create_document, full_text_segment
 from annopipe.exceptions import MalformedJsonError, MalformedLineError, SurfaceMismatchError
@@ -252,7 +252,7 @@ def test_run_loads_a_path_dictionary_once(tmp_path, corpus, monkeypatch):
         loaded.append(path)
         return load_dictionary(path)
 
-    monkeypatch.setattr(ops, "load_dictionary", counting_load)
+    monkeypatch.setattr("annopipe.textops.dictionary.load_dictionary", counting_load)
     pipeline = tmp_path / "context.json"
     pipeline.write_text(json.dumps(CONTEXT_PIPELINE), encoding="utf-8")
     code = run_cli(
@@ -300,6 +300,39 @@ def test_run_with_a_misspelt_param_or_key_exits_2_before_any_document(
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and f"step {index}" in err[0]
     assert repr(name) in err[0]
+    assert not out.exists()
+
+
+# (edit of the context pipeline's config, the start of the error it gives)
+MALFORMED_VALUES = [
+    (lambda c: c["steps"][1].update(params="x"), "step 1: 'params' must be an object, not str"),
+    (
+        lambda c: c["steps"][1].update(params=[["keep_punct", False]]),
+        "step 1: 'params' must be an object, not list",
+    ),
+    (lambda c: c["steps"][1].update(outputs="s"), "step 1: 'outputs' must be a list, not str"),
+    (lambda c: c["steps"][0].update(inputs="doc"), "step 0: 'inputs' must be a list, not str"),
+    (lambda c: c["steps"][0].update(op=["to_segment"]), "step 0: 'op' must be a string, not list"),
+    (lambda c: c.update(inputs="doc"), "'inputs' must be a list, not str"),
+]
+
+
+@pytest.mark.parametrize(
+    "edit, message", MALFORMED_VALUES,
+    ids=["params-str", "params-pairs", "outputs-str", "inputs-str", "op-list", "file-inputs-str"],
+)
+def test_run_with_a_value_of_the_wrong_type_exits_2_before_any_document(
+    tmp_path, corpus, capsys, edit, message
+):
+    config = copy.deepcopy(CONTEXT_PIPELINE)
+    edit(config)
+    pipeline = tmp_path / "pipeline.json"
+    pipeline.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "out"
+    code = run_cli("run", "--pipeline", pipeline, "--input-dir", corpus, "--output-dir", out)
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: invalid pipeline config: {message}"]
     assert not out.exists()
 
 
@@ -391,7 +424,9 @@ NESTED_DEID_DICT = {
 }
 
 
-def test_sub_pipeline_registered_in_the_run_process_runs_in_workers(tmp_path, corpus, monkeypatch):
+def _outer_pipeline(tmp_path, monkeypatch, nested_params=None):
+    """A pipeline file whose step 2 runs NESTED_DEID_DICT, registered with
+    as_operation in a copy of the default registry."""
     registry = default_registry()
     monkeypatch.setattr(registry, "_ops", dict(registry._ops))
     name = as_operation(PipelineSpec.from_dict(NESTED_DEID_DICT))
@@ -402,12 +437,17 @@ def test_sub_pipeline_registered_in_the_run_process_runs_in_workers(tmp_path, co
         "steps": [
             _step("to_segment", ["doc"], ["full_text"]),
             _step("split_sentences", ["full_text"], ["sentences"]),
-            _step(name, ["sentences"], ["drugs"]),
+            _step(name, ["sentences"], ["drugs"], nested_params),
             _step("emit_brat", ["doc", "drugs"], ["entities"]),
         ],
     }
     pipeline = tmp_path / "outer.json"
     pipeline.write_text(json.dumps(outer), encoding="utf-8")
+    return pipeline
+
+
+def test_sub_pipeline_registered_in_the_run_process_runs_in_workers(tmp_path, corpus, monkeypatch):
+    pipeline = _outer_pipeline(tmp_path, monkeypatch)
     written, graphs = [], []
     for workers in (1, 2):
         out, prov = tmp_path / f"out{workers}", tmp_path / f"prov{workers}.json"
@@ -418,6 +458,16 @@ def test_sub_pipeline_registered_in_the_run_process_runs_in_workers(tmp_path, co
     assert written[0] == written[1] and any(written[0].values())
     assert graph_signature(graphs[0]) == graph_signature(graphs[1])
     assert graphs[0].sub_graphs
+
+
+def test_nested_step_with_params_exits_2_before_any_document(tmp_path, corpus, monkeypatch, capsys):
+    pipeline = _outer_pipeline(tmp_path, monkeypatch, {"strip_accents": True})
+    out = tmp_path / "out"
+    assert run_cli("run", "--pipeline", pipeline, "--input-dir", corpus, "--output-dir", out) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: step 2 (deid_dict_in_test) failed:")
+    assert "'strip_accents'" in err[0]
+    assert not out.exists()
 
 
 def test_worker_that_dies_fails_its_documents_without_a_traceback(tmp_path, monkeypatch, capsys):

@@ -147,7 +147,8 @@ assert validate_pipeline(PipelineSpec("p", [step], ["sentences", "entities"], ["
 """)
     assert lines[0].split() == BUILTINS
     loaded = set(lines[-1].split())
-    assert "annopipe.ops" in loaded and "annopipe.textops.context" not in loaded
+    assert "annopipe.ops" in loaded and "annopipe.io.brat" not in loaded
+    assert not [m for m in loaded if m.startswith("annopipe.textops.")]
 
 
 @pytest.mark.parametrize("package", sorted(PUBLIC))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import helpers
 
-from annopipe import demo, ops
+from annopipe import demo
 from annopipe.core import create_document
 from annopipe.exceptions import (
     ConfigError,
@@ -30,6 +30,7 @@ from annopipe.pipeline import (
     validate_pipeline,
 )
 from annopipe.provenance import Tracer, VerbosityLevel, build_graph
+from annopipe.textops import deid, dictionary
 
 
 def make_registry():
@@ -314,6 +315,21 @@ class TestNesting:
         assert isinstance(inner.cause, ZeroDivisionError)
         assert str(err.value).startswith("step 1 (fragile) failed: step 0 (boom) failed:")
 
+    def test_nested_step_with_params_fails_the_compile(self):
+        reg, _ = self._nested_setup()
+        outer = spec_of(
+            [
+                PipelineStep("double", {}, ["x"], ["d"]),
+                PipelineStep("quadruple", {"k": 1}, ["d"], ["y"]),
+            ],
+            name="outer",
+        )
+        with pytest.raises(StepFailureError) as err:
+            compile_pipeline(outer, reg)
+        assert (err.value.step_index, err.value.op_name) == (1, "quadruple")
+        assert isinstance(err.value.cause, TypeError)
+        assert "'k'" in str(err.value)
+
     def test_sub_pipeline_binds_once_at_registration(self):
         reg, bound = counting_registry()
         as_operation(spec_of([PipelineStep("inc", {}, ["x"], ["y"])], name="inc1"), reg)
@@ -577,6 +593,7 @@ MISSPELT_PARAMS = [
     ("deidentify", {"rules": [DEID_RULE], "rule": [DEID_RULE]}, "rule"),
     ("deidentify", {"rules": [{**DEID_RULE, "label": "date"}]}, "label"),
     ("match_dictionary", {"entries": [ENTRY], "strip_accent": True}, "strip_accent"),
+    ("match_dictionary", {"rules": []}, "rules"),
     ("match_dictionary", {"entries": [{**ENTRY, "case_sensitve": True}]}, "case_sensitve"),
     ("match_dictionary", {"path": str(demo.dictionary_path()), "entries": [ENTRY]}, "entries"),
     ("match_dictionary", {"path": str(demo.dictionary_path()), "strip_accent": True}, "strip_accent"),
@@ -609,14 +626,26 @@ class TestBuiltinParams:
         plan = compile_pipeline(_builtin_spec(op, params))
         run_pipeline(plan, {"doc": create_document("Pas d'aspirine le 12/03/2021. Revu.")})
 
+    @pytest.mark.parametrize(
+        "params",
+        [{}, {"path": str(demo.dictionary_path()), "entries": [ENTRY]}],
+        ids=["neither", "both"],
+    )
+    def test_match_dictionary_takes_entries_or_a_path(self, params):
+        with pytest.raises(StepFailureError) as err:
+            compile_pipeline(_builtin_spec("match_dictionary", params))
+        assert isinstance(err.value.cause, TypeError)
+        assert str(err.value).endswith("match_dictionary takes exactly one of 'entries' and 'path'")
+
     def test_ops_look_their_functions_up_when_called(self, monkeypatch):
         plan = compile_pipeline(PipelineSpec.from_dict(
             json.loads(demo.pipeline_path("drug_ner_dict").read_text(encoding="utf-8"))
         ))
-        calls = {"deidentify": 0, "match_prepared": 0}
+        modules = {"deidentify": deid, "match_prepared": dictionary}
+        calls = dict.fromkeys(modules, 0)
 
         def counting(name):
-            fn = getattr(ops, name)
+            fn = getattr(modules[name], name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
@@ -624,8 +653,8 @@ class TestBuiltinParams:
 
             return wrapper
 
-        for name in calls:
-            monkeypatch.setattr(ops, name, counting(name))
+        for name, module in modules.items():
+            monkeypatch.setattr(module, name, counting(name))
         run_pipeline(plan, {"doc": create_document("Aspirine le 12/03/2021. Revu.")})
         assert calls["deidentify"] > 0 and calls["match_prepared"] > 0
 
