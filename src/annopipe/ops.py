@@ -6,7 +6,9 @@ one that names nothing raises TypeError. Every factory imports the module
 behind its operation when a plan binds the step, so validating a pipeline
 imports no text operation. The callable keeps a copy of the params and looks
 its function up on that module when called. ``default_registry`` registers
-these operations the first time it is used.
+these operations the first time it is used. Each declares its slots with
+``core`` types, so checking a pipeline's wiring imports nothing more;
+``detect_context`` returns its lineage with its outputs, as ``Derived``.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ import dataclasses
 import importlib
 import inspect
 
-from .core import new_id
-from .pipeline import OperationRegistry
+from .core import Annotation, Document, Entity, Segment, new_id
+from .pipeline import Derived, OperationRegistry
 
 
 def _bound(module: str, name: str, rule: str, n_data: int):
@@ -60,14 +62,16 @@ def _detect_context_factory(params):
 
     def run(sentences, entities):
         # New entities carrying the context attribute found in each sentence
-        # that holds them, in sentence order; the inputs stay untouched, so
-        # provenance can derive one from the other.
+        # that holds them, in sentence order; the inputs stay untouched, and
+        # output entity k derives from input entity k and each of those.
         added = {e.id: [] for e in entities}
+        holders = {id(e): [] for e in entities}
         for sentence, scoped in zip(sentences, context._scoped(sentences, entities)):
-            if scoped:
-                for entity_id, attribute in context._scan(sentence, scoped, rules):
-                    added[entity_id].append(attribute)
-        return [
+            found = context._scan(sentence, scoped, rules) if scoped else []
+            for (entity, _, _), (_, attribute) in zip(scoped, found):
+                added[entity.id].append(attribute)
+                holders[id(entity)].append(sentence)
+        outputs = [
             dataclasses.replace(
                 e,
                 id=new_id(),
@@ -77,41 +81,26 @@ def _detect_context_factory(params):
             )
             for e in entities
         ]
+        pairs = [(d, s) for e, d in zip(entities, outputs) for s in (e, *holders[id(e)])]
+        return Derived(outputs, pairs)
 
     return run
 
 
-def _detect_context_lineage(args, outputs):
-    """Output entity k derives from input entity k and each sentence holding it."""
-    from .textops.context import _scoped
-
-    sentences, entities = args
-    holders = {id(e): [] for e in entities}
-    for sentence, scoped in zip(sentences, _scoped(sentences, entities)):
-        for entity, _, _ in scoped:
-            holders[id(entity)].append(sentence)
-    for entity, derived in zip(entities, outputs[0]):
-        yield derived, entity
-        for sentence in holders[id(entity)]:
-            yield derived, sentence
-
-
 # The operations that call one function: (name, module, function, rule type
-# of its "rules" param, n_inputs, n_outputs, mode).
+# of its "rules" param, input slots, output slots).
 _FUNCTIONS = (
-    ("to_segment", ".core", "full_text_segment", "", 1, 1, "item"),
-    ("split_sentences", ".textops.sentences", "split_sentences", "", 1, 1, "item"),
-    ("deidentify", ".textops.deid", "deidentify", "DeidRule", 1, 2, "item"),
-    ("match_regex", ".textops.regexp", "match_regex", "RegexRule", 1, 1, "item"),
-    ("match_dates", ".textops.dates", "match_dates", "", 1, 1, "item"),
-    ("emit_brat", ".io.brat", "emit_brat", "", 2, 1, "batch"),
+    ("to_segment", ".core", "full_text_segment", "", (Document,), (Segment,)),
+    ("split_sentences", ".textops.sentences", "split_sentences", "", (Segment,), ([Segment],)),
+    ("deidentify", ".textops.deid", "deidentify", "DeidRule", (Segment,), (Segment, [Entity])),
+    ("match_regex", ".textops.regexp", "match_regex", "RegexRule", (Segment,), ([Entity],)),
+    ("match_dates", ".textops.dates", "match_dates", "", (Segment,), ([Entity],)),
+    ("emit_brat", ".io.brat", "emit_brat", "", (Document, [Annotation]), (str,)),
 )
 
 
 def register_builtin_operations(registry: OperationRegistry) -> None:
-    for name, module, function, rule, n_inputs, n_outputs, mode in _FUNCTIONS:
-        registry.register(name, _bound(module, function, rule, n_inputs), n_inputs, n_outputs, mode)
-    registry.register("match_dictionary", _match_dictionary_factory, 1, 1, "item")
-    registry.register(
-        "detect_context", _detect_context_factory, 2, 1, "batch", _detect_context_lineage
-    )
+    for name, module, function, rule, inputs, outputs in _FUNCTIONS:
+        registry.register(name, _bound(module, function, rule, len(inputs)), inputs, outputs)
+    registry.register("match_dictionary", _match_dictionary_factory, (Segment,), ([Entity],))
+    registry.register("detect_context", _detect_context_factory, ([Segment], [Entity]), ([Entity],))

@@ -6,22 +6,24 @@ once, giving a ``Plan`` that runs over any number of inputs. A spec can
 itself be registered as an operation and nested inside another pipeline,
 appearing as one composite activity in provenance.
 
-Data slots hold a single value or a homogeneous list. One runner runs every
-step: an "item" operation once per index of its list slots (a non-list slot
-goes whole to every call; list results are concatenated), a "batch"
-operation once on the slot values as-is.
+Each operation declares its slots once, as an item type or ``[type]`` for a
+list; ``object`` is undeclared and matches anything. The compile checks each
+key against what its producer declares. One runner runs every step: once per
+index of the lists wired to one-item inputs (a list input goes whole to
+every call), concatenating the outputs declared as lists.
 
-A traced run states lineage in the same pass: an item-mode step derives what
-each call made from what that call took, a batch step from what its
-registered ``lineage`` function names (every output from every input without
-one), and a step that made nothing records one stand-in item derived from all
-it took. A run without a tracer, or at level NONE, does no provenance work.
+A traced run states lineage in the same pass: what each call made derives
+from what it took, unless the operation returns ``Derived`` with its own
+pairs; a call that took a list whole and stated nothing derives every output
+from every input; and a step that made nothing records one stand-in item
+derived from all it took. A run without a tracer, or at level NONE, does no
+provenance work.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .core import new_id
 from .exceptions import (
@@ -103,6 +105,8 @@ def _checked_keys(obj: dict, types: dict, where: str) -> None:
         if not isinstance(value, types[key]):
             kind = f"{_JSON_TYPES[types[key]]}, not {type(value).__name__}"
             raise ConfigError(f"invalid pipeline config: {where}{key!r} must be {kind}")
+        if key in ("inputs", "outputs") and not all(isinstance(k, str) for k in value):
+            raise ConfigError(f"invalid pipeline config: {where}{key!r} must hold strings")
 
 
 @dataclass
@@ -111,18 +115,22 @@ class ValidationIssue:
     reason: str
 
 
-# A batch operation's lineage: (args, outputs) -> (output item, source item)
-# pairs, where outputs holds one value per output slot.
-Lineage = Callable[[list, tuple], Iterable[tuple]]
+class Derived(NamedTuple):
+    """An operation's outputs with its lineage, as (output item, source item) pairs."""
+
+    outputs: object
+    pairs: list
 
 
 @dataclass
 class _Registered:
     factory: Callable
-    n_inputs: int
-    n_outputs: int
-    mode: str  # "item" or "batch"
-    lineage: Optional[Lineage] = None
+    inputs: tuple  # per slot, an item type or [item type]
+    outputs: tuple
+
+
+def _shown(slot) -> str:
+    return f"[{slot[0].__name__}]" if isinstance(slot, list) else slot.__name__
 
 
 class OperationRegistry:
@@ -132,26 +140,13 @@ class OperationRegistry:
         self._ops: dict[str, _Registered] = {}
 
     def register(
-        self,
-        name: str,
-        factory: Callable,
-        n_inputs: int = 1,
-        n_outputs: int = 1,
-        mode: str = "item",
-        lineage: Optional[Lineage] = None,
+        self, name: str, factory: Callable, inputs: tuple = (object,), outputs: tuple = (object,)
     ) -> None:
-        """Register an operation factory under ``name``.
-
-        A batch operation may pass ``lineage`` to say which of its outputs
-        derive from which inputs; without it, each derives from every input.
-        """
+        """Register an operation factory under ``name`` with its slots: each is
+        an item type for one item, or ``[type]`` for a list of them."""
         if name in self._ops:
             raise DuplicateNameError(f"operation {name!r} already registered")
-        if mode not in ("item", "batch"):
-            raise ValueError(f"unknown mode {mode!r}")
-        if lineage is not None and mode != "batch":
-            raise ValueError("only batch operations declare their lineage")
-        self._ops[name] = _Registered(factory, n_inputs, n_outputs, mode, lineage=lineage)
+        self._ops[name] = _Registered(factory, tuple(inputs), tuple(outputs))
 
     def get(self, name: str) -> Optional[_Registered]:
         return self._ops.get(name)
@@ -188,7 +183,7 @@ def register_operation(
 def as_operation(
     spec: PipelineSpec, registry: Optional[OperationRegistry] = None
 ) -> str:
-    """Register a pipeline as an operation under its own name; its factory
+    """Register a pipeline as an operation with the slots of its plan; its factory
     returns the plan compiled here, and fails for a step that gives params."""
     registry = registry or default_registry()
     plan = compile_pipeline(spec, registry)
@@ -198,57 +193,70 @@ def as_operation(
             raise TypeError(f"a nested pipeline takes no params, got {next(iter(params))!r}")
         return plan
 
-    n_inputs, n_outputs = len(spec.pipeline_inputs), len(spec.pipeline_outputs)
-    registry.register(spec.name, factory, n_inputs, n_outputs, "batch")
+    registry.register(spec.name, factory, plan.inputs, plan.outputs)
     return spec.name
+
+
+# What a key holds: one item, a list, or either, as the pipeline's inputs decide.
+_ONE, _EITHER, _LIST = 0, 1, 2
+
+
+def _wiring(
+    spec: PipelineSpec, registry: OperationRegistry
+) -> tuple[list[ValidationIssue], dict[str, tuple[type, int]]]:
+    """The issues of a spec, and the (item type, what it holds) of each key.
+
+    A key holds what its producer declares, and a one-item output a list when
+    its step maps over one. A pipeline input holds what its consumers take.
+    """
+    issues = []  # (step index, reason)
+    held = {key: (object, _EITHER) for key in spec.pipeline_inputs}
+    for index, step in enumerate(spec.steps):
+        op, registered = step.op_name, registry.get(step.op_name)
+        if not step.input_keys or not step.output_keys:
+            issues.append((index, "step has empty key list"))
+        for key in step.input_keys:
+            if key not in held:
+                issues.append((index, f"input key {key!r} not yet produced"))
+        made = [(object, _EITHER)] * len(step.output_keys)
+        wires = (len(step.input_keys), len(step.output_keys))
+        if registered is None:
+            issues.append((index, f"operation {op!r} not registered"))
+        elif wires != (len(registered.inputs), len(registered.outputs)):
+            slots = f"{len(registered.inputs)} inputs and {len(registered.outputs)} outputs"
+            issues.append((index, f"{op} expects {slots}, step wires {wires[0]} and {wires[1]}"))
+        else:
+            maps = _ONE
+            for position, (key, slot) in enumerate(zip(step.input_keys, registered.inputs), 1):
+                kind, holds = held.get(key, (object, _EITHER))
+                whole = isinstance(slot, list)
+                want = slot[0] if whole else slot
+                maps = maps if whole else max(maps, holds)
+                narrowed = want if issubclass(want, kind) else kind
+                if key in spec.pipeline_inputs and issubclass(narrowed, want):
+                    # A pipeline input holds the most specific type its consumers take.
+                    held[key] = (narrowed, _LIST if whole else holds)
+                elif kind is not object and not (
+                    issubclass(kind, want) and (holds != _ONE or not whole)
+                ):
+                    shown = _shown([kind] if holds == _LIST else kind)
+                    reason = f"takes {_shown(slot)}, but {key!r} holds {shown}"
+                    issues.append((index, f"{op} input {position} {reason}"))
+            made = [(s[0], _LIST) if isinstance(s, list) else (s, maps) for s in registered.outputs]
+        for key, shape in zip(step.output_keys, made):
+            if key in held:
+                issues.append((index, f"key {key!r} produced twice"))
+            held[key] = shape
+    for key in spec.pipeline_outputs:
+        if key not in held:
+            issues.append((None, f"pipeline output {key!r} never produced"))
+    return [ValidationIssue(*issue) for issue in issues], held
 
 
 def validate_pipeline(
     spec: PipelineSpec, registry: Optional[OperationRegistry] = None
 ) -> list[ValidationIssue]:
-    registry = registry or default_registry()
-    issues: list[ValidationIssue] = []
-    available = set(spec.pipeline_inputs)
-    produced = set(spec.pipeline_inputs)
-    for index, step in enumerate(spec.steps):
-        if not step.input_keys or not step.output_keys:
-            issues.append(ValidationIssue(index, "step has empty key list"))
-        registered = registry.get(step.op_name)
-        if registered is None:
-            issues.append(
-                ValidationIssue(index, f"operation {step.op_name!r} not registered")
-            )
-        else:
-            if len(step.input_keys) != registered.n_inputs:
-                issues.append(
-                    ValidationIssue(
-                        index,
-                        f"{step.op_name} expects {registered.n_inputs} inputs, "
-                        f"step wires {len(step.input_keys)}",
-                    )
-                )
-            if len(step.output_keys) != registered.n_outputs:
-                issues.append(
-                    ValidationIssue(
-                        index,
-                        f"{step.op_name} produces {registered.n_outputs} outputs, "
-                        f"step wires {len(step.output_keys)}",
-                    )
-                )
-        for key in step.input_keys:
-            if key not in available:
-                issues.append(
-                    ValidationIssue(index, f"input key {key!r} not yet produced")
-                )
-        for key in step.output_keys:
-            if key in produced:
-                issues.append(ValidationIssue(index, f"key {key!r} produced twice"))
-            produced.add(key)
-            available.add(key)
-    for key in spec.pipeline_outputs:
-        if key not in available:
-            issues.append(ValidationIssue(None, f"pipeline output {key!r} never produced"))
-    return issues
+    return _wiring(spec, registry or default_registry())[0]
 
 
 def _items(value) -> list:
@@ -291,10 +299,12 @@ class _BoundStep(NamedTuple):
 
 @dataclass(frozen=True)
 class Plan:
-    """A validated pipeline whose operations are bound, ready to run."""
+    """A validated pipeline, its operations bound, with the slot each input and output holds."""
 
     spec: PipelineSpec
     steps: tuple[_BoundStep, ...]
+    inputs: tuple
+    outputs: tuple
 
 
 def compile_pipeline(
@@ -306,7 +316,7 @@ def compile_pipeline(
     factory fails.
     """
     registry = registry or default_registry()
-    issues = validate_pipeline(spec, registry)
+    issues, held = _wiring(spec, registry)
     if issues:
         raise ConfigError("invalid pipeline: " + "; ".join(i.reason for i in issues))
     steps = []
@@ -317,7 +327,11 @@ def compile_pipeline(
         except Exception as exc:
             raise StepFailureError(index, step.op_name, exc) from exc
         steps.append(_BoundStep(step, registered, op))
-    return Plan(spec, tuple(steps))
+
+    def slots(keys):
+        return tuple([held[k][0]] if held[k][1] == _LIST else held[k][0] for k in keys)
+
+    return Plan(spec, tuple(steps), slots(spec.pipeline_inputs), slots(spec.pipeline_outputs))
 
 
 def _run_step(
@@ -327,58 +341,54 @@ def _run_step(
 
     Without ``minted`` the step is not traced and its lineage is None;
     otherwise it is the step's source ids, output ids and (output, source)
-    id pairs, or None for pairs when a batch step declares no lineage.
+    id pairs, or None for pairs when a call took a list whole and returned
+    no ``Derived``.
     """
-    mapped = registered.mode == "item" and any(isinstance(a, list) for a in args)
+    mapped = [
+        isinstance(a, list) and not isinstance(s, list) for s, a in zip(registered.inputs, args)
+    ]
     calls = [args]
-    if mapped:
-        list_lengths = {len(a) for a in args if isinstance(a, list)}
-        if len(list_lengths) > 1:
-            raise ValueError("item-mode operation got list inputs of different lengths")
-        calls = [
-            [a[i] if isinstance(a, list) else a for a in args]
-            for i in range(list_lengths.pop())
-        ]
+    if any(mapped):
+        lengths = {len(a) for a, m in zip(args, mapped) if m}
+        if len(lengths) > 1:
+            raise ValueError("lists wired to one-item inputs differ in length")
+        calls = [[a[i] if m else a for a, m in zip(args, mapped)] for i in range(lengths.pop())]
     results = [op(*call) for call in calls]
-    if registered.n_outputs == 1:
+    stated = [r.pairs if isinstance(r, Derived) else None for r in results]
+    results = [r.outputs if isinstance(r, Derived) else r for r in results]
+    if len(registered.outputs) == 1:
         results = [(r,) for r in results]
-    if mapped:
-        outputs, split = [], []  # split: each call made a list of items
-        for pos in range(registered.n_outputs):
-            slot = [r[pos] for r in results]
-            concatenated = bool(slot) and all(isinstance(r, list) for r in slot)
-            outputs.append([x for r in slot for x in r] if concatenated else slot)
-            split.append(concatenated)
-        outputs = tuple(outputs)
+    if any(mapped):
+        outputs = tuple(
+            [x for r in results for x in r[k]] if isinstance(s, list) else [r[k] for r in results]
+            for k, s in enumerate(registered.outputs)
+        )
     else:
         outputs = results[0]
-        split = [isinstance(o, list) for o in outputs]
     if minted is None:
         return outputs, None
 
     arg_ids = [[_source_id(minted, item) for item in _items(a)] for a in args]
     source_ids = [i for ids in arg_ids for i in ids]
-    batch = registered.mode == "batch"
-    per_slot = [[] for _ in split]
+    whole = any(isinstance(s, list) for s in registered.inputs)
+    per_slot = [[] for _ in registered.outputs]
     pairs = []
-    for i, result in enumerate(results):
-        took = () if batch else dict.fromkeys(
-            ids[i] if isinstance(a, list) else ids[0] for a, ids in zip(args, arg_ids)
+    for i, (result, own) in enumerate(zip(results, stated)):
+        took = () if whole else dict.fromkeys(
+            ids[i] if m else ids[0] for m, ids in zip(mapped, arg_ids)
         )
-        for made, is_list, slot_ids in zip(result, split, per_slot):
-            for item in made if is_list else (made,):
+        for made, slot, slot_ids in zip(result, registered.outputs, per_slot):
+            for item in made if isinstance(slot, list) else (made,):
                 out = _output_id(minted, item)
                 slot_ids.append(out)
-                pairs.extend((out, src) for src in took)
+                if own is None:
+                    pairs.extend((out, src) for src in took)
+        if own is not None:
+            # The call's outputs already have their ids, so both sides are looked up.
+            pairs.extend((_source_id(minted, o), _source_id(minted, s)) for o, s in own)
     output_ids = [i for ids in per_slot for i in ids]
-    if batch:
+    if whole and None in stated:
         pairs = None
-        if registered.lineage is not None:
-            # Outputs already have their ids, so both sides are looked up.
-            pairs = [
-                (_source_id(minted, out), _source_id(minted, src))
-                for out, src in registered.lineage(args, outputs)
-            ]
     if not output_ids:
         # The step made nothing; an id stands for its empty result, derived
         # from everything the step took.

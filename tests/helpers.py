@@ -19,7 +19,7 @@ from annopipe.exceptions import ArityMismatchError, ConfigError, InvalidRangeErr
 from annopipe.io.brat import emit_brat
 from annopipe.io.doccano import emit_doccano_jsonl
 from annopipe.io.docjson import serialize_document_json
-from annopipe.pipeline import Lineage, Plan, _items, _output_id, _Registered, _source_id
+from annopipe.pipeline import Plan, _items, _output_id, _Registered, _source_id
 from annopipe.provenance import Activity, ProvGraph, Tracer, VerbosityLevel
 from annopipe.spans import Span, normalize_spans
 from annopipe.textops import ContextRuleSet
@@ -715,9 +715,10 @@ def frozen_build_graph(tracer: Tracer) -> ProvGraph:
     return graph
 
 
-# Item lineage by brute force: each item of an item-mode step runs through
-# the step's bound op alone, and the outputs that call made, matched to the
-# recorded outputs by position and content, derive from the items it took.
+# Item lineage by brute force: each item of a step whose inputs are all
+# declared one-item runs through the step's bound op alone, and the outputs
+# that call made, matched to the recorded outputs by position and content,
+# derive from the items it took.
 # detect_context output k derives from input entity k and every sentence the
 # first-written scoping accepts it in.
 
@@ -729,7 +730,7 @@ def _item_step_derivations(registered, op, args: list, outs: list) -> set:
     for i in range(n):
         took = [a[i] if isinstance(a, list) else a for a in args]
         result = op(*took)
-        calls.append((took, result if registered.n_outputs > 1 else (result,)))
+        calls.append((took, result if len(registered.outputs) > 1 else (result,)))
     pairs = set()
     for pos, out in enumerate(outs):
         recorded = out if isinstance(out, list) else [out]
@@ -764,8 +765,8 @@ def expected_derivations(plan, env: dict) -> list:
 
     ``env`` holds every slot value of the run; a sub-pipeline must list all
     of its slots among its outputs, so that its steps' values are there too.
-    The pairs are a set of ``(output id, source id)``, or None for a batch
-    step whose outputs derive from all of its inputs.
+    The pairs are a set of ``(output id, source id)``, or None for a step
+    taking a list whole, whose outputs derive from all of its inputs.
     """
     expected = []
     for step, registered, op in plan.steps:
@@ -778,7 +779,7 @@ def expected_derivations(plan, env: dict) -> list:
             expected.extend(expected_derivations(op, inner))
         elif step.op_name == "detect_context":
             expected.append((step.op_name, _context_derivations(args, outs)))
-        elif registered.mode == "batch":
+        elif any(isinstance(slot, list) for slot in registered.inputs):
             expected.append((step.op_name, None))
         else:
             expected.append((step.op_name, _item_step_derivations(registered, op, args, outs)))
@@ -894,6 +895,12 @@ def frozen_export_prov(graph: ProvGraph, format: str = "prov-json") -> str:
 def frozen_parse_prov_json(text: str) -> ProvGraph:
     """Inverse of frozen_export_prov(graph, 'prov-json')."""
     return frozen_graph_from_dict(json.loads(text))
+
+
+# A batch operation's lineage, as the frozen runner takes it: (args, outputs)
+# -> (output item, source item) pairs, where outputs holds one value per
+# output slot.
+Lineage = Callable[[list, tuple], Iterable[tuple]]
 
 
 # The step runner as it was before one pass ran an operation and stated its

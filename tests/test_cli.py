@@ -314,12 +314,19 @@ MALFORMED_VALUES = [
     (lambda c: c["steps"][0].update(inputs="doc"), "step 0: 'inputs' must be a list, not str"),
     (lambda c: c["steps"][0].update(op=["to_segment"]), "step 0: 'op' must be a string, not list"),
     (lambda c: c.update(inputs="doc"), "'inputs' must be a list, not str"),
+    (
+        lambda c: c["steps"][1].update(inputs=[["full_text"]]),
+        "step 1: 'inputs' must hold strings",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
     "edit, message", MALFORMED_VALUES,
-    ids=["params-str", "params-pairs", "outputs-str", "inputs-str", "op-list", "file-inputs-str"],
+    ids=[
+        "params-str", "params-pairs", "outputs-str", "inputs-str", "op-list", "file-inputs-str",
+        "inputs-nested",
+    ],
 )
 def test_run_with_a_value_of_the_wrong_type_exits_2_before_any_document(
     tmp_path, corpus, capsys, edit, message
@@ -333,6 +340,51 @@ def test_run_with_a_value_of_the_wrong_type_exits_2_before_any_document(
     assert code == 2
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: invalid pipeline config: {message}"]
+    assert not out.exists()
+
+
+# (edit of orange.json, the one error it gives)
+MISWIRED = [
+    (
+        lambda c: c["steps"][4].update(inputs=["entities", "doc"]),
+        "emit_brat input 1 takes Document, but 'entities' holds [Entity]; "
+        "emit_brat input 2 takes [Annotation], but 'doc' holds Document",
+    ),
+    (
+        lambda c: c["steps"][3].update(inputs=["doc"]),
+        "match_regex input 1 takes Segment, but 'doc' holds Document",
+    ),
+]
+
+
+@pytest.mark.parametrize("edit, message", MISWIRED, ids=["brat-swapped", "regex-on-doc"])
+def test_miswired_step_exits_2_before_any_document(tmp_path, corpus, capsys, edit, message):
+    config = json.loads(demo.pipeline_path("orange").read_text(encoding="utf-8"))
+    edit(config)
+    pipeline = tmp_path / "pipeline.json"
+    pipeline.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "out"
+    code = run_cli("run", "--pipeline", pipeline, "--input-dir", corpus, "--output-dir", out)
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: invalid pipeline: {message}"]
+    assert not out.exists()
+
+
+def test_pipeline_whose_input_takes_no_document_exits_2(tmp_path, corpus, capsys):
+    config = {
+        "name": "regex_on_doc",
+        "inputs": ["doc"],
+        "outputs": ["drugs"],
+        "steps": [_step("match_regex", ["doc"], ["drugs"], {"rules": []})],
+    }
+    pipeline = tmp_path / "pipeline.json"
+    pipeline.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "out"
+    code = run_cli("run", "--pipeline", pipeline, "--input-dir", corpus, "--output-dir", out)
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: pipeline 'regex_on_doc' must take exactly one input, a Document, not Segment"
+    ]
     assert not out.exists()
 
 

@@ -1,6 +1,7 @@
 import itertools
 import json
 from dataclasses import dataclass
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 import helpers
 
 from annopipe import demo
-from annopipe.core import create_document
+from annopipe.core import Document, Entity, Segment, create_document
 from annopipe.exceptions import (
     ConfigError,
     DuplicateNameError,
@@ -18,6 +19,7 @@ from annopipe.exceptions import (
     StepFailureError,
 )
 from annopipe.pipeline import (
+    Derived,
     OperationRegistry,
     _Registered,
     _run_step,
@@ -25,6 +27,7 @@ from annopipe.pipeline import (
     PipelineStep,
     as_operation,
     compile_pipeline,
+    default_registry,
     register_operation,
     run_pipeline,
     validate_pipeline,
@@ -35,30 +38,12 @@ from annopipe.textops import deid, dictionary
 
 def make_registry():
     reg = OperationRegistry()
-    reg.register("double", lambda params: (lambda x: x * 2), 1, 1, "item")
-    reg.register("add", lambda params: (lambda a, b: a + b), 2, 1, "item")
-    reg.register(
-        "split_pair",
-        lambda params: (lambda x: (x, -x)),
-        1,
-        2,
-        "item",
-    )
-    reg.register("total", lambda params: (lambda xs: sum(xs)), 1, 1, "batch")
-    reg.register(
-        "explode",
-        lambda params: (lambda x: [x, x + 1]),
-        1,
-        1,
-        "item",
-    )
-    reg.register(
-        "boom",
-        lambda params: (lambda x: 1 / 0),
-        1,
-        1,
-        "item",
-    )
+    reg.register("double", lambda params: (lambda x: x * 2))
+    reg.register("add", lambda params: (lambda a, b: a + b), (object, object))
+    reg.register("split_pair", lambda params: (lambda x: (x, -x)), outputs=(object, object))
+    reg.register("total", lambda params: (lambda xs: sum(xs)), ([int],), (int,))
+    reg.register("explode", lambda params: (lambda x: [x, x + 1]), outputs=([object],))
+    reg.register("boom", lambda params: (lambda x: 1 / 0))
     return reg
 
 
@@ -148,6 +133,58 @@ class TestValidation:
         spec = spec_of([PipelineStep("double", {}, ["x"], ["z"])])
         issues = validate_pipeline(spec, make_registry())
         assert any(i.step_index is None for i in issues)
+
+    def test_a_key_of_another_type_is_named(self):
+        spec = spec_of(
+            [
+                PipelineStep("to_segment", {}, ["doc"], ["full"]),
+                PipelineStep("emit_brat", {}, ["full", "doc"], ["y"]),
+            ],
+            inputs=["doc"],
+        )
+        assert [(i.step_index, i.reason) for i in validate_pipeline(spec)] == [
+            (1, "emit_brat input 1 takes Document, but 'full' holds Segment"),
+            (1, "emit_brat input 2 takes [Annotation], but 'doc' holds Document"),
+        ]
+
+    def test_one_item_where_a_list_is_taken_is_named(self):
+        spec = spec_of(
+            [PipelineStep("total", {}, ["x"], ["s"]), PipelineStep("total", {}, ["s"], ["y"])]
+        )
+        assert [i.reason for i in validate_pipeline(spec, make_registry())] == [
+            "total input 1 takes [int], but 's' holds int"
+        ]
+
+    def test_consumers_of_a_pipeline_input_must_agree(self):
+        spec = spec_of(
+            [
+                PipelineStep("to_segment", {}, ["doc"], ["full"]),
+                PipelineStep("match_regex", {"rules": []}, ["doc"], ["y"]),
+            ],
+            inputs=["doc"],
+        )
+        assert [i.reason for i in validate_pipeline(spec)] == [
+            "match_regex input 1 takes Segment, but 'doc' holds Document"
+        ]
+
+    def test_a_pipeline_input_holds_what_its_consumers_take(self):
+        spec = spec_of(
+            [PipelineStep("double", {}, ["x"], ["d"]), PipelineStep("total", {}, ["x"], ["y"])]
+        )
+        assert compile_pipeline(spec, make_registry()).inputs == ([int],)
+        steps = [
+            PipelineStep("match_regex", {"rules": []}, ["s"], ["a"]),
+            PipelineStep("detect_context", CONTEXT, ["t", "s"], ["y"]),
+        ]
+        plan = compile_pipeline(spec_of(steps, inputs=["s", "t"]))
+        assert (plan.inputs, plan.outputs) == (([Entity], [Segment]), ([Entity],))
+
+    def test_an_undeclared_slot_matches_anything(self):
+        spec = spec_of(
+            [PipelineStep("double", {}, ["x"], ["d"]), PipelineStep("total", {}, ["d"], ["y"])]
+        )
+        assert validate_pipeline(spec, make_registry()) == []
+        assert run_pipeline(spec, {"x": [1, 2]}, registry=make_registry()) == {"y": 6}
 
 
 class TestExecution:
@@ -345,6 +382,28 @@ class TestNesting:
         assert [run_pipeline(plan, {"x": x})["y"] for x in (0, 3)] == [2, 5]
         assert len(bound) == 1
 
+    def test_sub_pipeline_registers_the_slots_of_its_plan(self):
+        reg = default_registry().copy()
+        steps = [
+            PipelineStep("split_sentences", {}, ["full"], ["sentences"]),
+            PipelineStep("match_dates", {}, ["sentences"], ["dates"]),
+            PipelineStep("emit_brat", {}, ["doc", "dates"], ["brat"]),
+        ]
+        as_operation(spec_of(steps, ["full", "doc"], ["sentences", "brat"], name="dated"), reg)
+        registered = reg.get("dated")
+        assert (registered.inputs, registered.outputs) == ((Segment, Document), ([Segment], str))
+        wrong = spec_of(
+            [
+                PipelineStep("to_segment", {}, ["doc"], ["full"]),
+                PipelineStep("dated", {}, ["full", "full"], ["s", "y"]),
+            ],
+            ["doc"],
+            ["y"],
+        )
+        assert [i.reason for i in validate_pipeline(wrong, reg)] == [
+            "dated input 2 takes Document, but 'full' holds Segment"
+        ]
+
     def test_spec_may_share_its_name_with_a_sub_pipeline(self):
         reg, _ = self._nested_setup()
         same_name = spec_of([PipelineStep("quadruple", {}, ["x"], ["y"])], name="quadruple")
@@ -368,7 +427,7 @@ class TestNesting:
     def test_registry_copy_is_independent(self):
         reg = make_registry()
         clone = reg.copy()
-        clone.register("extra", lambda params: (lambda x: x), 1, 1, "item")
+        clone.register("extra", lambda params: (lambda x: x))
         assert reg.get("extra") is None
         assert clone.get("double") is not None
 
@@ -413,19 +472,12 @@ class TestItemLineage:
 
 class TestBatchLineage:
     def _registry(self):
+        def zip_add(a, b):
+            sums = [x + y for x, y in zip(a, b)]
+            return Derived(sums, [(out, src) for k, out in enumerate(sums) for src in (a[k], b[k])])
+
         reg = make_registry()
-        reg.register(
-            "zip_add",
-            lambda params: (lambda a, b: [x + y for x, y in zip(a, b)]),
-            2,
-            1,
-            "batch",
-            lineage=lambda args, outputs: (
-                (out, src)
-                for k, out in enumerate(outputs[0])
-                for src in (args[0][k], args[1][k])
-            ),
-        )
+        reg.register("zip_add", lambda params: zip_add, ([int], [int]), ([int],))
         return reg
 
     def test_declared_lineage_is_recorded(self):
@@ -444,9 +496,15 @@ class TestBatchLineage:
         assert tracer._records[0].derivations is None
         assert len(build_graph(tracer).was_derived_from) == 2
 
-    def test_only_batch_operations_declare_lineage(self):
-        with pytest.raises(ValueError):
-            OperationRegistry().register("f", lambda params: len, lineage=lambda a, o: [])
+    def test_a_list_input_goes_whole_to_every_call(self):
+        reg = make_registry()
+        reg.register("scale", lambda params: (lambda xs, k: [x * k for x in xs]), ([int], int), ([int],))
+        spec = spec_of([PipelineStep("scale", {}, ["xs", "k"], ["y"])], inputs=("xs", "k"))
+        tracer = Tracer()
+        assert run_pipeline(spec, {"xs": [1, 2], "k": [10, 100]}, tracer, reg) == {
+            "y": [10, 20, 100, 200]
+        }
+        assert tracer._records[0].derivations is None
 
 
 @dataclass
@@ -456,12 +514,14 @@ class Rec:
     id: str
 
 
-# One entry per output slot: ("list", k, kind) makes k new items, ("one",
-# kind) one item; kind "echo" passes the call's first input item through.
-SLOT_RESULTS = st.one_of(
-    st.tuples(st.just("list"), st.integers(0, 2), st.sampled_from(["rec", "str", "int", "echo"])),
-    st.tuples(st.just("one"), st.sampled_from(["rec", "str", "int", "echo"])),
-)
+# What one call makes in an output slot: ("list", k, kind) k new items for a
+# list slot, ("one", kind) one item for a one-item slot; kind "echo" passes
+# the call's first input item through.
+KINDS = st.sampled_from(["rec", "str", "int", "echo"])
+SLOT_RESULTS = {
+    True: st.tuples(st.just("list"), st.integers(0, 2), KINDS),
+    False: st.tuples(st.just("one"), KINDS),
+}
 ATOMS = st.one_of(
     st.builds(Rec, st.sampled_from(["a", "b", "c"])),
     st.text(max_size=2),
@@ -484,7 +544,9 @@ def _make_op(script, n_outputs):
 
     def op(*args):
         call = next(counter)
-        first = args[0][0] if isinstance(args[0], list) and args[0] else args[0]
+        first = args[0]
+        if isinstance(first, list):  # a list taken whole: its first item, or a new one
+            first = first[0] if first else Rec(f"e{call}")
         result = []
         for pos, spec in enumerate(script[call % len(script)][:n_outputs]):
             if spec[0] == "list":
@@ -507,29 +569,55 @@ def _cyclic_lineage(args, outputs):
     return [(out, sources[k % len(sources)]) for k, out in enumerate(made)] if sources else []
 
 
+def _stating(op, n_outputs):
+    """``op`` returning ``Derived`` with the pairs ``_cyclic_lineage`` names."""
+
+    def run(*args):
+        result = op(*args)
+        return Derived(result, _cyclic_lineage(list(args), result if n_outputs > 1 else (result,)))
+
+    return run
+
+
 @st.composite
 def generated_steps(draw):
-    """(registered, script, args): item or batch, 1-3 slots, list/empty/broadcast args."""
-    mode = draw(st.sampled_from(["item", "batch"]))
-    n_outputs = draw(st.integers(1, 3))
-    lineage = None
-    if mode == "batch" and draw(st.booleans()):
-        lineage = _cyclic_lineage
+    """(registered, frozen stand-in, script, args, states lineage).
+
+    Each of 1-3 input and output slots is declared one-item or a list, and
+    the script makes what each output slot declares. A step with a list
+    input is the frozen runner's batch mode: its list inputs get lists, its
+    one-item inputs single items, and it may state its lineage. Otherwise it
+    is item mode, whose inputs get lists, empty, ragged or single items.
+    """
+    slots = st.lists(st.sampled_from([object, [object]]), min_size=1, max_size=3)
+    inputs, outputs = draw(slots), draw(slots)
+    batch = any(isinstance(slot, list) for slot in inputs)
+    states = batch and draw(st.booleans())
     length = draw(st.integers(0, 3))
     args = []
-    for _ in range(draw(st.integers(1, 3))):
-        kind = draw(st.sampled_from(["list", "list", "empty", "broadcast", "ragged"]))
+    for slot in inputs:
+        if not batch:
+            kind = draw(st.sampled_from(["list", "list", "empty", "broadcast", "ragged"]))
+        elif isinstance(slot, list):
+            kind = draw(st.sampled_from(["list", "empty", "ragged"]))
+        else:
+            kind = "broadcast"
         if kind == "broadcast":
             args.append(draw(ATOMS))
         else:
             size = {"list": length, "empty": 0, "ragged": draw(st.integers(0, 3))}[kind]
             args.append(draw(st.lists(ATOMS, min_size=size, max_size=size)))
-    script = draw(st.lists(st.lists(SLOT_RESULTS, min_size=3, max_size=3), min_size=1, max_size=3))
-    registered = _Registered(None, len(args), n_outputs, mode, lineage=lineage)
-    return registered, script, args
+    results = st.tuples(*[SLOT_RESULTS[isinstance(slot, list)] for slot in outputs])
+    script = draw(st.lists(results, min_size=1, max_size=3))
+    frozen = SimpleNamespace(
+        mode="batch" if batch else "item",
+        n_outputs=len(outputs),
+        lineage=_cyclic_lineage if states else None,
+    )
+    return _Registered(None, tuple(inputs), tuple(outputs)), frozen, script, args, states
 
 
-def _run_counted(runner, registered, script, args, traced):
+def _run_counted(runner, registered, op, args, traced):
     """Run one step with provenance ids drawn from a fresh counter."""
     counter = itertools.count()
     minted = {} if traced else None
@@ -539,9 +627,9 @@ def _run_counted(runner, registered, script, args, traced):
 
     with mock.patch("annopipe.pipeline.new_id", new_id), mock.patch.object(helpers, "new_id", new_id):
         try:
-            outputs, lineage = runner(registered, _make_op(script, registered.n_outputs), args, minted)
-        except ValueError as exc:
-            return "raised", str(exc)
+            outputs, lineage = runner(registered, op, args, minted)
+        except ValueError:
+            return "raised"
     kept = None if minted is None else sorted(item_id for _, item_id in minted.values())
     return outputs, lineage, kept
 
@@ -550,12 +638,20 @@ class TestStepRunnerMatchesFrozen:
     @settings(max_examples=500, deadline=None)
     @given(step=generated_steps(), traced=st.booleans())
     def test_same_outputs_and_lineage_as_frozen_runner(self, step, traced):
-        expected = _run_counted(helpers.frozen_run_step, *step, traced)
-        assert _run_counted(_run_step, *step, traced) == expected
+        registered, frozen, script, args, states = step
+        n = len(registered.outputs)
+        expected = _run_counted(helpers.frozen_run_step, frozen, _make_op(script, n), args, traced)
+        op = _make_op(script, n)
+        got = _run_counted(_run_step, registered, _stating(op, n) if states else op, args, traced)
+        assert got == expected
 
     def test_untraced_step_has_no_lineage(self):
-        registered = _Registered(None, 1, 1, "item")
+        registered = _Registered(None, (object,), ([object],))
         assert _run_step(registered, lambda x: [x, x], [[1, 2]], None) == (([1, 1, 2, 2],), None)
+
+    def test_one_item_output_of_a_mapped_step_is_collected_not_concatenated(self):
+        registered = _Registered(None, (object,), (object,))
+        assert _run_step(registered, lambda x: [x, x], [[1, 2]], None) == (([[1, 1], [2, 2]],), None)
 
 
 DEID_RULE = {"pattern": r"\b\d{2}/\d{2}/\d{4}\b", "placeholder": "[DATE]"}
@@ -583,6 +679,49 @@ def _builtin_spec(op, params):
         steps.append(PipelineStep("match_dates", {}, ["sentences"], ["dates"]))
     steps.append(PipelineStep(op, params, inputs.split(), outputs))
     return spec_of(steps, inputs=["doc"], outputs=outputs[:1])
+
+
+SPELT_PARAMS = {
+    "deidentify": {"rules": [DEID_RULE]},
+    "match_dictionary": {"entries": [ENTRY], "strip_accents": True},
+    "match_regex": {"rules": [{**REGEX_RULE, "group": 0}]},
+    "detect_context": {**CONTEXT, "max_token_window": 3},
+}
+SHIPPED = sorted((demo.corpus_dir().parent / "pipelines").glob("*.json"))
+OPS = ["to_segment", "split_sentences", "deidentify", "match_dictionary", "match_regex",
+       "match_dates", "detect_context", "emit_brat"]
+
+
+def _every_key_out(spec):
+    """The spec with every key it makes among its outputs."""
+    keys = [k for step in spec.steps for k in step.output_keys]
+    return PipelineSpec(spec.name, spec.steps, spec.pipeline_inputs, keys)
+
+
+class TestDeclaredSlots:
+    @pytest.mark.parametrize(
+        "spec",
+        [PipelineSpec.from_dict(json.loads(p.read_text(encoding="utf-8"))) for p in SHIPPED]
+        + [_builtin_spec(op, SPELT_PARAMS.get(op, {})) for op in OPS],
+        ids=[p.stem for p in SHIPPED] + OPS,
+    )
+    def test_each_step_makes_what_its_op_declares(self, spec):
+        # A one-item output slot holds one item per call: a list when the
+        # step mapped over a list, the item itself otherwise.
+        plan = compile_pipeline(_every_key_out(spec))
+        doc = create_document("Pas d'aspirine le 12/03/2021. Revu au 01 02 03 04 05 avec paracétamol.")
+        env = {"doc": doc, **run_pipeline(plan, {"doc": doc})}
+        for step, registered, _ in plan.steps:
+            mapped = any(
+                isinstance(env[k], list) and not isinstance(slot, list)
+                for k, slot in zip(step.input_keys, registered.inputs)
+            )
+            for key, slot in zip(step.output_keys, registered.outputs):
+                listed = isinstance(slot, list) or mapped
+                items = env[key] if listed else [env[key]]
+                kind = slot[0] if isinstance(slot, list) else slot
+                assert isinstance(items, list) and items, (step.op_name, key)
+                assert all(isinstance(item, kind) for item in items), (step.op_name, key)
 
 
 # (op, params, the name a misspelt or contradictory param leaves unbound)
@@ -617,13 +756,7 @@ class TestBuiltinParams:
 
     @pytest.mark.parametrize("op", sorted({op for op, _, _ in MISSPELT_PARAMS}))
     def test_spelt_params_compile_and_run(self, op):
-        params = {
-            "deidentify": {"rules": [DEID_RULE]},
-            "match_dictionary": {"entries": [ENTRY], "strip_accents": True},
-            "match_regex": {"rules": [{**REGEX_RULE, "group": 0}]},
-            "detect_context": {**CONTEXT, "max_token_window": 3},
-        }.get(op, {})
-        plan = compile_pipeline(_builtin_spec(op, params))
+        plan = compile_pipeline(_builtin_spec(op, SPELT_PARAMS.get(op, {})))
         run_pipeline(plan, {"doc": create_document("Pas d'aspirine le 12/03/2021. Revu.")})
 
     @pytest.mark.parametrize(
@@ -675,10 +808,9 @@ class TestBuiltinParams:
 
     def test_register_operation_forwards_to_register(self):
         reg = OperationRegistry()
-        lineage = lambda args, outputs: []  # noqa: E731
-        register_operation("pairs", lambda params: zip, 2, 1, "batch", lineage=lineage, registry=reg)
+        register_operation("pairs", lambda params: zip, [[int], [str]], outputs=[[tuple]], registry=reg)
         register_operation("same", lambda params: (lambda x: x), registry=reg)
-        assert reg.get("pairs") == _Registered(reg.get("pairs").factory, 2, 1, "batch", lineage=lineage)
-        assert (reg.get("same").n_inputs, reg.get("same").n_outputs, reg.get("same").mode) == (1, 1, "item")
+        assert reg.get("pairs") == _Registered(reg.get("pairs").factory, ([int], [str]), ([tuple],))
+        assert (reg.get("same").inputs, reg.get("same").outputs) == ((object,), (object,))
         with pytest.raises(DuplicateNameError):
             register_operation("same", lambda params: None, registry=reg)

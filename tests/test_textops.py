@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from annopipe import demo
 from annopipe.core import Entity, Segment, create_document, full_text_segment
 from annopipe.exceptions import ScopeError
-from annopipe.pipeline import default_registry
+from annopipe.pipeline import PipelineSpec, PipelineStep, default_registry, run_pipeline
+from annopipe.provenance import Tracer, VerbosityLevel
 from annopipe.spans import (
     ModifiedSpan,
     Span,
@@ -381,7 +382,7 @@ class TestContext:
         text = "pas d'aspirine ce jour. Rien."
         sentences = split_sentences(seg_of(text))
         entity = Entity(label="Drug", text="aspirine", spans=[Span(6, 14)])
-        (out,) = self._op()(sentences, [entity])
+        (out,) = self._op()(sentences, [entity]).outputs
         assert entity.attributes == []
         assert out.id != entity.id
         assert (out.label, out.text, out.spans) == ("Drug", "aspirine", [Span(6, 14)])
@@ -686,7 +687,7 @@ def test_detect_context_op_matches_frozen_op(seed):
     sentences, entities, rules = context_case(seed)
     before = [_context_fingerprint(e) for e in entities]
     params = _rule_params(rules)
-    got = default_registry().get("detect_context").factory(params)(sentences, entities)
+    got = default_registry().get("detect_context").factory(params)(sentences, entities).outputs
     expected = frozen_detect_context_factory(params)(sentences, entities)
     assert [_context_fingerprint(e) for e in got] == [
         _context_fingerprint(e) for e in expected
@@ -699,7 +700,8 @@ def test_detect_context_op_matches_frozen_op(seed):
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_detect_context_runs_once_per_sentence_holding_entities(seed):
     # One scan per sentence holding entities, and each sentence and entity
-    # projected once per scoping pass: once untraced, again for the lineage.
+    # projected once, also in a run traced at full: the op states its lineage
+    # from the same scoping pass.
     sentences, entities, rules = context_case(seed)
     calls = []
     projections = []
@@ -713,16 +715,18 @@ def test_detect_context_runs_once_per_sentence_holding_entities(seed):
         projections.append(spans)
         return normalize_spans(spans)
 
-    registered = default_registry().get("detect_context")
+    step = PipelineStep("detect_context", _rule_params(rules), ["sentences", "entities"], ["out"])
+    spec = PipelineSpec("context", [step], ["sentences", "entities"], ["out"])
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(context_module, "_scan", counting)
         mp.setattr(context_module, "normalize_spans", projecting)
-        outputs = registered.factory(_rule_params(rules))(sentences, entities)
-        assert len(projections) == len(entities) + len(sentences)
-        list(registered.lineage((sentences, entities), (outputs,)))
-        assert len(projections) == 2 * (len(entities) + len(sentences))
+        tracer = Tracer(VerbosityLevel.FULL)
+        run_pipeline(spec, {"sentences": sentences, "entities": entities}, tracer)
+    assert len(projections) == len(entities) + len(sentences)
     holding = [s for s in sentences if any(_holds(s, e) for e in entities)]
     assert calls == holding
+    (record,) = tracer._records
+    assert record.derivations is not None
 
 
 @pytest.mark.parametrize("rules", CONTEXT_RULES)
@@ -756,9 +760,9 @@ def test_detect_context_op_on_empty_inputs():
     )
     sentences = split_sentences(seg_of("pas d'aspirine."))
     entity = Entity(label="Drug", text="aspirine", spans=[Span(6, 14)])
-    assert op([], []) == []
-    assert op(sentences, []) == []
-    (out,) = op([], [entity])
+    assert op([], []).outputs == []
+    assert op(sentences, []).outputs == []
+    (out,) = op([], [entity]).outputs
     assert _context_fingerprint(out) == _context_fingerprint(entity)
 
 
