@@ -34,17 +34,14 @@ def _load_pipeline(path: str) -> Plan:
     """Read a pipeline config taking one document, and compile it."""
     from .core import Document
     from .io.textdir import read_utf8
-    from .pipeline import PipelineSpec, _shown, compile_pipeline
+    from .pipeline import PipelineSpec, compile_pipeline
 
     try:
         obj = json.loads(read_utf8(path))
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read pipeline {path}: {exc}") from exc
     plan = compile_pipeline(PipelineSpec.from_dict(obj))
-    if [not isinstance(s, list) and issubclass(Document, s) for s in plan.inputs] != [True]:
-        taken = ", ".join(map(_shown, plan.inputs)) or "none"
-        message = f"must take exactly one input, a Document, not {taken}"
-        raise ConfigError(f"pipeline {plan.spec.name!r} {message}")
+    plan.require_input(Document)
     return plan
 
 

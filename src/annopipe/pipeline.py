@@ -146,6 +146,10 @@ class OperationRegistry:
         an item type for one item, or ``[type]`` for a list of them."""
         if name in self._ops:
             raise DuplicateNameError(f"operation {name!r} already registered")
+        for slot in (*inputs, *outputs):
+            item = slot[0] if isinstance(slot, list) and len(slot) == 1 else slot
+            if not isinstance(item, type):
+                raise ValueError(f"operation {name!r}: a slot is a type or [type], not {slot!r}")
         self._ops[name] = _Registered(factory, tuple(inputs), tuple(outputs))
 
     def get(self, name: str) -> Optional[_Registered]:
@@ -201,18 +205,39 @@ def as_operation(
 _ONE, _EITHER, _LIST = 0, 1, 2
 
 
-def _wiring(
-    spec: PipelineSpec, registry: OperationRegistry
-) -> tuple[list[ValidationIssue], dict[str, tuple[type, int]]]:
-    """The issues of a spec, and the (item type, what it holds) of each key.
+def _fits(kind: type, holds: int, slot) -> bool:
+    """Whether a key holding ``kind`` items (one, a list or either) may feed ``slot``."""
+    whole = isinstance(slot, list)
+    return kind is object or (
+        issubclass(kind, slot[0] if whole else slot) and (holds != _ONE or not whole)
+    )
+
+
+def validate_pipeline(
+    spec: PipelineSpec, registry: Optional[OperationRegistry] = None, held: Optional[dict] = None
+) -> list[ValidationIssue]:
+    """The issues of a spec; ``held``, if given, gets each key's (item type, what it holds).
 
     A key holds what its producer declares, and a one-item output a list when
-    its step maps over one. A pipeline input holds what its consumers take.
+    its step maps over one. A pipeline input holds the most specific type its
+    consumers take, and a list if one takes it whole; both are settled from
+    all its consumers before any output is typed.
     """
+    registry = registry or default_registry()
+    held = {} if held is None else held
+    held.update((key, (object, _EITHER)) for key in spec.pipeline_inputs)
+    steps = [(step, registry.get(step.op_name)) for step in spec.steps]
+    for step, registered in steps:
+        for key, slot in zip(step.input_keys, registered.inputs if registered else ()):
+            if key in spec.pipeline_inputs:
+                (kind, holds), whole = held[key], isinstance(slot, list)
+                want = slot[0] if whole else slot
+                narrowed = want if issubclass(want, kind) else kind
+                if issubclass(narrowed, want):  # a consumer that disagrees is named below
+                    held[key] = (narrowed, _LIST if whole else holds)
     issues = []  # (step index, reason)
-    held = {key: (object, _EITHER) for key in spec.pipeline_inputs}
-    for index, step in enumerate(spec.steps):
-        op, registered = step.op_name, registry.get(step.op_name)
+    for index, (step, registered) in enumerate(steps):
+        op = step.op_name
         if not step.input_keys or not step.output_keys:
             issues.append((index, "step has empty key list"))
         for key in step.input_keys:
@@ -229,16 +254,8 @@ def _wiring(
             maps = _ONE
             for position, (key, slot) in enumerate(zip(step.input_keys, registered.inputs), 1):
                 kind, holds = held.get(key, (object, _EITHER))
-                whole = isinstance(slot, list)
-                want = slot[0] if whole else slot
-                maps = maps if whole else max(maps, holds)
-                narrowed = want if issubclass(want, kind) else kind
-                if key in spec.pipeline_inputs and issubclass(narrowed, want):
-                    # A pipeline input holds the most specific type its consumers take.
-                    held[key] = (narrowed, _LIST if whole else holds)
-                elif kind is not object and not (
-                    issubclass(kind, want) and (holds != _ONE or not whole)
-                ):
+                maps = maps if isinstance(slot, list) else max(maps, holds)
+                if not _fits(kind, holds, slot):
                     shown = _shown([kind] if holds == _LIST else kind)
                     reason = f"takes {_shown(slot)}, but {key!r} holds {shown}"
                     issues.append((index, f"{op} input {position} {reason}"))
@@ -250,13 +267,7 @@ def _wiring(
     for key in spec.pipeline_outputs:
         if key not in held:
             issues.append((None, f"pipeline output {key!r} never produced"))
-    return [ValidationIssue(*issue) for issue in issues], held
-
-
-def validate_pipeline(
-    spec: PipelineSpec, registry: Optional[OperationRegistry] = None
-) -> list[ValidationIssue]:
-    return _wiring(spec, registry or default_registry())[0]
+    return [ValidationIssue(*issue) for issue in issues]
 
 
 def _items(value) -> list:
@@ -283,18 +294,8 @@ def _source_id(minted: dict, item) -> str:
 
 def _output_id(minted: dict, item) -> str:
     """Provenance id of an item a step makes; an id-less item gets a new one."""
-    item_id = getattr(item, "id", None)
-    if isinstance(item_id, str):
-        return item_id
-    item_id = new_id()
-    minted[id(item)] = (item, item_id)
-    return item_id
-
-
-class _BoundStep(NamedTuple):
-    step: PipelineStep
-    registered: _Registered
-    op: "Callable | Plan"  # a sub-pipeline's op is its plan
+    minted.pop(id(item), None)
+    return _source_id(minted, item)
 
 
 @dataclass(frozen=True)
@@ -302,9 +303,16 @@ class Plan:
     """A validated pipeline, its operations bound, with the slot each input and output holds."""
 
     spec: PipelineSpec
-    steps: tuple[_BoundStep, ...]
+    steps: tuple  # (step, registered, bound op) per step; a sub-pipeline's op is its plan
     inputs: tuple
     outputs: tuple
+
+    def require_input(self, kind: type) -> None:
+        """ConfigError unless the plan takes exactly one input, which one ``kind`` item fits."""
+        if len(self.inputs) != 1 or not _fits(kind, _ONE, self.inputs[0]):
+            taken = ", ".join(map(_shown, self.inputs)) or "none"
+            message = f"must take exactly one input, a {kind.__name__}, not {taken}"
+            raise ConfigError(f"pipeline {self.spec.name!r} {message}")
 
 
 def compile_pipeline(
@@ -316,7 +324,8 @@ def compile_pipeline(
     factory fails.
     """
     registry = registry or default_registry()
-    issues, held = _wiring(spec, registry)
+    held: dict = {}
+    issues = validate_pipeline(spec, registry, held)
     if issues:
         raise ConfigError("invalid pipeline: " + "; ".join(i.reason for i in issues))
     steps = []
@@ -326,7 +335,7 @@ def compile_pipeline(
             op = registered.factory(step.params)
         except Exception as exc:
             raise StepFailureError(index, step.op_name, exc) from exc
-        steps.append(_BoundStep(step, registered, op))
+        steps.append((step, registered, op))
 
     def slots(keys):
         return tuple([held[k][0]] if held[k][1] == _LIST else held[k][0] for k in keys)
@@ -434,24 +443,17 @@ def _execute(
             if isinstance(op, Plan):
                 sub_scope = None
                 if minted is not None:
-                    sub_scope = tracer.open_scope(
-                        OperationDescriptor(name=op.spec.name, config=step.params),
-                        parent=scope,
-                    )
+                    descriptor = OperationDescriptor(name=op.spec.name, config=step.params)
+                    sub_scope = tracer.open_scope(descriptor, parent=scope)
                 sub_inputs = dict(zip(op.spec.pipeline_inputs, args))
                 result = _execute(op, sub_inputs, tracer, sub_scope, minted)
                 outputs = tuple(result[k] for k in op.spec.pipeline_outputs)
             else:
                 outputs, lineage = _run_step(registered, op, args, minted)
                 if lineage is not None:
-                    source_ids, output_ids, pairs = lineage
-                    tracer.record(
-                        OperationDescriptor(name=step.op_name, config=step.params),
-                        sources=source_ids,
-                        outputs=output_ids,
-                        scope=scope,
-                        derivations=pairs,
-                    )
+                    sources, made, pairs = lineage
+                    descriptor = OperationDescriptor(name=step.op_name, config=step.params)
+                    tracer.record(descriptor, sources, made, scope=scope, derivations=pairs)
         except Exception as exc:
             raise StepFailureError(index, step.op_name, exc) from exc
         for key, value in zip(step.output_keys, outputs):

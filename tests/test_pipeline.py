@@ -248,6 +248,12 @@ class TestExecution:
 
 
 class TestCompile:
+    def test_compile_checks_the_wiring_through_validate_pipeline(self):
+        spec = spec_of([PipelineStep("double", {}, ["x"], ["y"])])
+        with mock.patch("annopipe.pipeline.validate_pipeline", wraps=validate_pipeline) as check:
+            compile_pipeline(spec, make_registry())
+        assert check.call_count == 1
+
     def test_factories_run_once_per_compile(self):
         reg, bound = counting_registry()
         spec = spec_of(
@@ -403,6 +409,30 @@ class TestNesting:
         assert [i.reason for i in validate_pipeline(wrong, reg)] == [
             "dated input 2 takes Document, but 'full' holds Segment"
         ]
+
+    def test_a_sub_pipeline_input_is_typed_by_all_its_consumers_first(self):
+        reg = default_registry().copy()
+        steps = [
+            PipelineStep("deidentify", {"rules": [DEID_RULE]}, ["sentences"], ["clean", "phi"]),
+            PipelineStep("detect_context", CONTEXT, ["sentences", "phi"], ["ctx"]),
+        ]
+        sub = spec_of(steps, ["sentences"], ["clean", "ctx"], name="scrub")
+        as_operation(sub, reg)
+        registered = reg.get("scrub")
+        assert (registered.inputs, registered.outputs) == (([Segment],), ([Segment], [Entity]))
+        outer = spec_of(
+            [
+                PipelineStep("to_segment", {}, ["doc"], ["full"]),
+                PipelineStep("split_sentences", {}, ["full"], ["sentences"]),
+                PipelineStep("scrub", {}, ["sentences"], ["clean", "ctx"]),
+                PipelineStep("detect_context", CONTEXT, ["clean", "ctx"], ["y"]),
+            ],
+            ["doc"],
+        )
+        assert validate_pipeline(outer, reg) == []
+        doc = create_document("Vu le 01/02/2020. Pas de fièvre.")
+        result = run_pipeline(spec_of(outer.steps, ["doc"], ["clean"]), {"doc": doc}, registry=reg)
+        assert [type(s) for s in result["clean"]] == [Segment, Segment]
 
     def test_spec_may_share_its_name_with_a_sub_pipeline(self):
         reg, _ = self._nested_setup()
@@ -628,10 +658,16 @@ def _run_counted(runner, registered, op, args, traced):
     with mock.patch("annopipe.pipeline.new_id", new_id), mock.patch.object(helpers, "new_id", new_id):
         try:
             outputs, lineage = runner(registered, op, args, minted)
-        except ValueError:
-            return "raised"
+        except ValueError as exc:
+            return "raised", str(exc)
     kept = None if minted is None else sorted(item_id for _, item_id in minted.values())
     return outputs, lineage, kept
+
+
+# The frozen runner's message for ragged lists, and the runner's, which names
+# the slots by declaration rather than by the old mode.
+FROZEN_RAGGED = "item-mode operation got list inputs of different lengths"
+RAGGED = "lists wired to one-item inputs differ in length"
 
 
 class TestStepRunnerMatchesFrozen:
@@ -641,9 +677,16 @@ class TestStepRunnerMatchesFrozen:
         registered, frozen, script, args, states = step
         n = len(registered.outputs)
         expected = _run_counted(helpers.frozen_run_step, frozen, _make_op(script, n), args, traced)
+        if expected == ("raised", FROZEN_RAGGED):
+            expected = ("raised", RAGGED)
         op = _make_op(script, n)
         got = _run_counted(_run_step, registered, _stating(op, n) if states else op, args, traced)
         assert got == expected
+
+    def test_ragged_lists_wired_to_one_item_inputs_are_named(self):
+        registered = _Registered(None, (object, object, [object]), (object,))
+        with pytest.raises(ValueError, match=f"^{RAGGED}$"):
+            _run_step(registered, lambda a, b, c: a, [[1, 2], [3], [4, 5]], None)
 
     def test_untraced_step_has_no_lineage(self):
         registered = _Registered(None, (object,), ([object],))
@@ -814,3 +857,10 @@ class TestBuiltinParams:
         assert (reg.get("same").inputs, reg.get("same").outputs) == ((object,), (object,))
         with pytest.raises(DuplicateNameError):
             register_operation("same", lambda params: None, registry=reg)
+
+    @pytest.mark.parametrize("slot", ["Segment", [Segment, Entity], [], ["Segment"]])
+    def test_a_slot_that_is_no_type_is_refused_at_registration(self, slot):
+        reg = OperationRegistry()
+        with pytest.raises(ValueError, match=r"^operation 'bad': a slot is a type or \[type\]"):
+            reg.register("bad", lambda params: None, (Segment, slot))
+        assert reg.get("bad") is None
