@@ -88,36 +88,46 @@ def _emitter(fmt: str):
     return emit_json
 
 
-# (plan, input key, emitter, level) of the run; forked workers inherit it.
+# (plan, input key, emitter, level) of the run, the level None when the run
+# traces nothing; forked workers inherit it.
 _RUN = None
 
 
 def _process(doc: Document):
-    """``(tracer, payload)`` of one document under ``_RUN``, or ``(None, message)``:
-    a message crosses back from a worker, as some AnnopipeErrors do not unpickle."""
+    """``(True, payload, tracer)`` of one document under ``_RUN``, the tracer None
+    when the run traces nothing, or ``(False, message, None)``: a message crosses
+    back from a worker, as some AnnopipeErrors do not unpickle."""
     from .pipeline import run_pipeline
-    from .provenance import Tracer
 
     plan, input_key, emit, level = _RUN
     try:
-        tracer = Tracer(level)
+        tracer = None
+        if level is not None:  # cmd_run has loaded provenance
+            from .provenance import Tracer
+
+            tracer = Tracer(level)
         annotations, emitted = _collect_annotations(run_pipeline(plan, {input_key: doc}, tracer))
-        return tracer, emit(doc, annotations, emitted)
+        return True, emit(doc, annotations, emitted), tracer
     except Exception as exc:
-        return None, str(exc)
+        return False, str(exc), None
 
 
 def cmd_run(args) -> int:
     global _RUN
     # What _process runs is imported before any worker forks, so that no
-    # worker compiles a module: provenance here, the plan's modules by
-    # _load_pipeline and the writer by _emitter.
+    # worker compiles a module: the plan's modules by _load_pipeline, the
+    # writer by _emitter and, for a run that writes a trace, provenance here.
     from .io.textdir import load_text_documents
-    from .provenance import Tracer, VerbosityLevel, _write_prov_json, build_graph
 
     plan = _load_pipeline(args.pipeline)
-    # A trace is recorded only to be written: without --prov-out, none.
-    level = VerbosityLevel.parse(args.prov_level if args.prov_out else "none")
+    # A trace is recorded only to be written: without --prov-out, none, and
+    # provenance is not loaded. At level none the trace written is empty.
+    merged = level = None
+    if args.prov_out:
+        from .provenance import Tracer, VerbosityLevel, _write_prov_json, build_graph
+
+        merged = Tracer(VerbosityLevel.parse(args.prov_level))
+        level = None if merged.level == VerbosityLevel.NONE else merged.level
     if args.workers < 1:
         raise ConfigError("workers must be >= 1")
     docs = load_text_documents(args.input_dir)
@@ -131,7 +141,6 @@ def cmd_run(args) -> int:
     _RUN = (plan, plan.spec.pipeline_inputs[0], _emitter(args.output_format), level)
     workers = min(args.workers, len(docs))
     failures = []
-    merged = Tracer(level)
     names = [doc.metadata.get("filename", doc.id) for doc in docs]
     with prov_out or contextlib.nullcontext(), contextlib.ExitStack() as stack:
         broken = ()  # what the results raise when a worker dies; nothing inline
@@ -148,13 +157,14 @@ def cmd_run(args) -> int:
             results = pool.map(_process, docs, chunksize=max(1, len(docs) // (4 * workers)))
         done = 0
         try:
-            for name, (tracer, payload) in zip(names, results):
+            for name, (ok, text, tracer) in zip(names, results):
                 done += 1
-                if tracer is None:
-                    failures.append((name, payload))
+                if not ok:
+                    failures.append((name, text))
                     continue
-                (out_dir / f"{Path(name).stem}{extension}").write_text(payload, encoding="utf-8")
-                merged.merge(tracer)
+                (out_dir / f"{Path(name).stem}{extension}").write_text(text, encoding="utf-8")
+                if tracer is not None:
+                    merged.merge(tracer)
         except broken:
             failures += [(name, "worker process ended abruptly") for name in names[done:]]
         if prov_out:

@@ -17,13 +17,13 @@ from what it took, unless the operation returns ``Derived`` with its own
 pairs; a call that took a list whole and stated nothing derives every output
 from every input; and a step that made nothing records one stand-in item
 derived from all it took. A run without a tracer, or at level NONE, does no
-provenance work.
+provenance work, and one without a tracer does not load ``provenance``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from .core import new_id
 from .exceptions import (
@@ -32,7 +32,9 @@ from .exceptions import (
     MissingInputError,
     StepFailureError,
 )
-from .provenance import OperationDescriptor, Tracer, VerbosityLevel
+
+if TYPE_CHECKING:
+    from .provenance import Tracer
 
 
 @dataclass
@@ -419,7 +421,7 @@ def run_pipeline(
     many inputs, compile it once with ``compile_pipeline`` and pass the plan.
     """
     plan = pipeline if isinstance(pipeline, Plan) else compile_pipeline(pipeline, registry)
-    traced = tracer is not None and tracer.level != VerbosityLevel.NONE
+    traced = tracer is not None and tracer.level > 0  # above VerbosityLevel.NONE
     return _execute(plan, inputs, tracer, None, {} if traced else None)
 
 
@@ -432,6 +434,8 @@ def _execute(
     None when the run is not traced: then no step mints an id or records
     anything. A sub-pipeline shares it with the pipeline that runs it.
     """
+    if minted is not None:
+        from .provenance import OperationDescriptor
     for key in plan.spec.pipeline_inputs:
         if key not in inputs:
             raise MissingInputError(f"missing pipeline input {key!r}")

@@ -740,6 +740,24 @@ class TestProv:
         original = json.loads(prov.read_text(encoding="utf-8"))
         assert set(json.loads(out)["entity"]) == set(original["entity"])
 
+    @pytest.mark.parametrize("level, docs", [("none", 24), ("full", 0)])
+    def test_an_empty_trace_is_written_and_re_exported_unchanged(
+        self, tmp_path, corpus, capsys, level, docs
+    ):
+        # At level none, or over no document, --prov-out still writes a trace: an empty one.
+        for txt in sorted(corpus.glob("*.txt"))[docs:]:
+            txt.unlink()
+        prov = tmp_path / "prov.json"
+        code = _run_at(1, demo.pipeline_path("drug_ner_dict"), corpus, tmp_path / "out",
+                       "--prov-level", level, "--prov-out", prov)
+        assert code == 0 and len(list((tmp_path / "out").glob("*.ann"))) == docs
+        sections = ("entity", "activity", "used", "wasGeneratedBy", "wasDerivedFrom", "wasInformedBy")
+        empty = json.dumps(dict.fromkeys(sections, {})) + "\n"
+        assert prov.read_text(encoding="utf-8") == empty
+        capsys.readouterr()
+        assert run_cli("prov", "export", "--in", prov, "--format", "prov-json") == 0
+        assert capsys.readouterr().out == empty
+
     def test_missing_input_exits_2(self, tmp_path, capsys):
         assert run_cli("prov", "export", "--in", tmp_path / "nope.json") == 2
 

@@ -109,7 +109,8 @@ def test_brat_run_loads_only_the_modules_its_steps_name(tmp_path):
     assert not loaded & unwanted
 
 
-def test_a_forked_run_imports_what_its_workers_run_before_the_pool(tmp_path):
+@pytest.mark.parametrize("traced", [False, True])
+def test_a_forked_run_imports_what_its_workers_run_before_the_pool(tmp_path, traced):
     # Prints the annopipe modules loaded when the run creates its pool, flushed
     # so that no forked worker inherits the line.
     probe = """
@@ -126,9 +127,57 @@ concurrent.futures.ProcessPoolExecutor = Probe
         "run", "--pipeline", demo.pipeline_path("drug_ner_regex"),
         "--input-dir", demo.corpus_dir(), "--output-format", "doccano",
     ]
+    if traced:
+        args += ["--prov-level", "full", "--prov-out", tmp_path / "prov.json"]
     inline = _loaded(CLI, *args, "--output-dir", tmp_path / "one", "--workers", 1)
     at_pool = _stdout(probe + CLI, *args, "--output-dir", tmp_path / "two", "--workers", 2)[0]
     assert {"annopipe.textops.regexp", "annopipe.io.doccano"} <= inline <= set(at_pool.split())
+    assert ("annopipe.provenance" in at_pool.split()) == traced
+
+
+# Fails a document whose run leaves provenance loaded, in the process that ran it.
+NO_PROVENANCE = """
+import sys
+import annopipe.cli
+process = annopipe.cli._process
+def checked(doc):
+    result = process(doc)
+    assert "annopipe.provenance" not in sys.modules, "provenance loaded"
+    return result
+annopipe.cli._process = checked
+"""
+
+
+@pytest.mark.parametrize("extra", [
+    ["--prov-level", "none"],
+    ["--prov-level", "none", "--workers", 2],
+    ["--prov-level", "full"],
+])
+def test_a_run_that_writes_no_trace_loads_no_provenance(tmp_path, extra):
+    loaded = _loaded(
+        NO_PROVENANCE + CLI, "run", "--pipeline", demo.pipeline_path("drug_ner_dict"),
+        "--input-dir", demo.corpus_dir(), "--output-dir", tmp_path / "out", *extra,
+    )
+    assert len(list((tmp_path / "out").glob("*.ann"))) == 24
+    assert "annopipe.pipeline" in loaded and "annopipe.provenance" not in loaded
+
+
+@pytest.mark.parametrize("nested", [False, True])
+def test_run_pipeline_without_a_tracer_loads_no_provenance(nested):
+    loaded = _loaded(f"""
+import json
+from annopipe import demo
+from annopipe.io.textdir import load_text_documents
+from annopipe.pipeline import PipelineSpec, PipelineStep, as_operation, compile_pipeline, run_pipeline
+path = demo.pipeline_path("drug_ner_dict")
+spec = PipelineSpec.from_dict(json.loads(path.read_text(encoding="utf-8")))
+if {nested}:
+    step = PipelineStep(as_operation(spec), {{}}, ["doc"], ["entities"])
+    spec = PipelineSpec("outer", [step], ["doc"], ["entities"])
+doc = load_text_documents(demo.corpus_dir())[0]
+assert run_pipeline(compile_pipeline(spec), {{"doc": doc}})["entities"]
+""")
+    assert "annopipe.pipeline" in loaded and "annopipe.provenance" not in loaded
 
 
 def test_building_the_parser_loads_no_command_module():

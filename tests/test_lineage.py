@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from annopipe import demo, pipeline
+from annopipe import demo, pipeline, provenance
 from annopipe.core import create_document
 from annopipe.exceptions import CycleDetectedError
 from annopipe.io.textdir import load_text_documents
@@ -145,7 +145,7 @@ def test_none_tracer_does_no_provenance_work(make_plan, monkeypatch):
     work = []
     monkeypatch.setattr(Tracer, "record", lambda *a, **k: work.append("record"))
     monkeypatch.setattr(Tracer, "open_scope", lambda *a, **k: work.append("scope"))
-    monkeypatch.setattr(pipeline, "OperationDescriptor", lambda *a, **k: work.append("op"))
+    monkeypatch.setattr(provenance, "OperationDescriptor", lambda *a, **k: work.append("op"))
     monkeypatch.setattr(pipeline, "new_id", lambda: work.append("id"))
     tracer = Tracer(VerbosityLevel.NONE)
     traced = [_shape(run_pipeline(plan, {"doc": doc}, tracer=tracer)) for doc in docs]
