@@ -7,6 +7,9 @@ Supported lines:
 
 Lines with other sigils (N, E, #, *) are skipped with a warning. Ids are
 scoped per file; emission renumbers T/A/R sequentially in attachment order.
+Emission writes each annotation on one line that the parser reads back: a
+line break inside an entity ends a fragment, and an annotation that no such
+line can hold raises ConfigError.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ from typing import Optional
 
 from . import _logger
 from ..core import Annotation, Attribute, Entity, Relation, Segment
-from ..exceptions import EmptyProjectionError, MalformedLineError, SurfaceMismatchError
-from ..spans import Span, normalize_spans
+from ..exceptions import ConfigError, EmptyProjectionError, MalformedLineError, SurfaceMismatchError
+from ..spans import ModifiedSpan, Span, normalize_spans
 
 # Separator joining the surface text of discontinuous fragments
 DISCONTINUOUS_SEP = " "
@@ -25,6 +28,8 @@ DISCONTINUOUS_SEP = " "
 _T_RE = re.compile(r"^T(\d+)\t(\S+) (\d+ \d+(?:;\d+ \d+)*)\t(.*)$")
 _A_RE = re.compile(r"^A(\d+)\t(\S+) (T\d+)(?: (.+))?$")
 _R_RE = re.compile(r"^R(\d+)\t(\S+) Arg1:(T\d+) Arg2:(T\d+)$")
+# A run of text holding no line break
+_ONE_LINE_RE = re.compile(r"[^\r\n]+")
 
 
 def _parse_fragments(field: str, line_no: int) -> list[tuple[int, int]]:
@@ -71,6 +76,12 @@ def parse_brat(ann_text: str, doc_text: Optional[str] = None) -> list[Annotation
                 )
                 if expected != surface:
                     raise SurfaceMismatchError(line_no, expected, surface)
+            covered = sum(e - s for s, e in fragments)
+            covered += len(DISCONTINUOUS_SEP) * (len(fragments) - 1)
+            if len(surface) != covered:
+                raise MalformedLineError(
+                    line_no, f"surface {surface!r} is not {covered} code points long"
+                )
             entity = Entity(
                 label=label,
                 text=surface,
@@ -124,25 +135,29 @@ def _fragments_to_spans(fragments: list[tuple[int, int]]) -> list:
     stand for no original range, so they become zero-provenance modified
     spans, keeping the chain length equal to the surface length.
     """
-    if len(fragments) == 1:
-        return [Span(*fragments[0])]
-    # Discontinuous: model separators as inserted text standing for nothing.
-    from ..spans import ModifiedSpan
-
-    chain = []
-    for i, (start, end) in enumerate(fragments):
-        if i > 0:
-            chain.append(ModifiedSpan(len(DISCONTINUOUS_SEP)))
-        chain.append(Span(start, end))
+    chain = [Span(*fragments[0])]
+    for start, end in fragments[1:]:
+        chain += [ModifiedSpan(len(DISCONTINUOUS_SEP)), Span(start, end)]
     return chain
+
+
+def _one_line(pattern: re.Pattern, line: str, ann_id: str) -> str:
+    """``line`` if parse_brat reads it back through ``pattern`` as written, else
+    ConfigError naming annotation ``ann_id``: for a label holding whitespace, an
+    empty attribute value or a line break."""
+    if "\r" in line or not pattern.fullmatch(line):
+        raise ConfigError(f"annotation {ann_id}: {line!r} is not one Brat line")
+    return line
 
 
 def emit_brat(doc, annotations: list[Annotation]) -> str:
     """Serialize annotations as canonical Brat standoff text.
 
     Entities are numbered T1..Tn in attachment order with spans taken from
-    their normalized chains; attributes and relations follow. Raises
-    EmptyProjectionError for a segment that projects to no original span.
+    their normalized chains, cut at each line break, which is dropped;
+    attributes and relations follow. Raises EmptyProjectionError for a
+    segment that projects to no original character but line breaks, and
+    ConfigError for an annotation one Brat line cannot hold.
     """
     t_lines = []
     a_lines = []
@@ -152,27 +167,28 @@ def emit_brat(doc, annotations: list[Annotation]) -> str:
     relations = [a for a in annotations if isinstance(a, Relation)]
 
     for i, seg in enumerate(segments, 1):
-        fragments = normalize_spans(seg.spans)
+        fragments = [
+            m.span() for s in normalize_spans(seg.spans)
+            for m in _ONE_LINE_RE.finditer(doc.text, s.start, s.end)
+        ]
         if not fragments:
             raise EmptyProjectionError(
                 f"annotation {seg.id} ({seg.label}) projects to no original span"
             )
         tid = f"T{i}"
         tid_by_ann_id[seg.id] = tid
-        frag_field = ";".join(f"{s.start} {s.end}" for s in fragments)
-        surface = DISCONTINUOUS_SEP.join(doc.text[s.start : s.end] for s in fragments)
-        t_lines.append(f"{tid}\t{seg.label} {frag_field}\t{surface}")
+        frag_field = ";".join(f"{start} {end}" for start, end in fragments)
+        surface = DISCONTINUOUS_SEP.join(doc.text[start:end] for start, end in fragments)
+        t_lines.append(_one_line(_T_RE, f"{tid}\t{seg.label} {frag_field}\t{surface}", seg.id))
 
     attr_num = 1
     for seg in segments:
         for attr in seg.attributes:
             if attr.value is False or attr.value is None:
                 continue
-            tid = tid_by_ann_id[seg.id]
-            if attr.value is True:
-                a_lines.append(f"A{attr_num}\t{attr.label} {tid}")
-            else:
-                a_lines.append(f"A{attr_num}\t{attr.label} {tid} {attr.value}")
+            value = "" if attr.value is True else f" {attr.value}"
+            line = f"A{attr_num}\t{attr.label} {tid_by_ann_id[seg.id]}{value}"
+            a_lines.append(_one_line(_A_RE, line, seg.id))
             attr_num += 1
 
     rel_num = 1
@@ -184,7 +200,7 @@ def emit_brat(doc, annotations: list[Annotation]) -> str:
                 "relation %s references an unexported entity; skipped", rel.id
             )
             continue
-        r_lines.append(f"R{rel_num}\t{rel.label} Arg1:{arg1} Arg2:{arg2}")
+        r_lines.append(_one_line(_R_RE, f"R{rel_num}\t{rel.label} Arg1:{arg1} Arg2:{arg2}", rel.id))
         rel_num += 1
 
     lines = t_lines + a_lines + r_lines

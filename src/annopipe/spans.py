@@ -11,6 +11,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import attrgetter
 from typing import Iterable, Sequence, Union
 
 from .exceptions import ArityMismatchError, InvalidRangeError
@@ -61,7 +62,6 @@ def span_length(spans: Iterable[AnySpan]) -> int:
 
 def _check_ranges(ranges: Sequence[tuple[int, int]], text_length: int) -> None:
     prev_end = 0
-    first = True
     for start, end in ranges:
         if start > end:
             raise InvalidRangeError(f"range ({start}, {end}) has start > end")
@@ -69,12 +69,11 @@ def _check_ranges(ranges: Sequence[tuple[int, int]], text_length: int) -> None:
             raise InvalidRangeError(
                 f"range ({start}, {end}) out of bounds for length {text_length}"
             )
-        if not first and start < prev_end:
+        if start < prev_end:
             raise InvalidRangeError(
                 f"range ({start}, {end}) overlaps or precedes previous range"
             )
         prev_end = end
-        first = False
 
 
 def _leftmost_longest(candidates: Iterable[tuple]) -> list[tuple]:
@@ -259,14 +258,8 @@ def normalize_spans(spans: Iterable[AnySpan]) -> list[Span]:
     pure insertions contribute nothing. The result is sorted by start with
     overlapping and exactly-adjacent ranges merged.
     """
-    collected: list[Span] = []
-    for span in spans:
-        if isinstance(span, Span):
-            if span.length > 0:
-                collected.append(span)
-        else:
-            collected.extend(s for s in span.replaced if s.length > 0)
-    collected.sort(key=lambda s: (s.start, s.end))
+    collected = [s for s in _replaced_ranges(spans) if s.length > 0]
+    collected.sort(key=attrgetter("start", "end"))
     merged: list[Span] = []
     for span in collected:
         if merged and span.start <= merged[-1].end:

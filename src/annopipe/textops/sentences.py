@@ -6,18 +6,11 @@ dots ("Dr.", "M.") are not handled; adjust punct_chars if needed.
 
 from __future__ import annotations
 
+import re
 from typing import Iterable
 
 from ..core import Segment
 from ..spans import extract_each
-
-
-def _trimmed(text: str, start: int, end: int):
-    while start < end and text[start].isspace():
-        start += 1
-    while end > start and text[end - 1].isspace():
-        end -= 1
-    return (start, end) if start < end else None
 
 
 def split_sentences(
@@ -29,26 +22,18 @@ def split_sentences(
 
     Each sentence is built with span extraction, so its chain still maps to
     the raw document. With keep_punct the terminating punctuation character
-    stays attached to its sentence.
+    stays attached to its sentence. A newline always ends a sentence and is
+    never kept; entries of punct_chars longer than one character cut nothing.
     """
-    punct = set(punct_chars)
-    text = seg.text
-    ranges = []
-    start = 0
-    for i, ch in enumerate(text):
-        if ch in punct or ch == "\n":
-            rng = _trimmed(text, start, i)
-            if rng:
-                s, e = rng
-                if keep_punct and ch != "\n":
-                    e = i + 1
-                ranges.append((s, e))
-            start = i + 1
-    rng = _trimmed(text, start, len(text))
-    if rng:
-        ranges.append(rng)
-
+    marks = "".join(re.escape(c) for c in dict.fromkeys(punct_chars) if len(c) == 1 and c != "\n")
+    # One sentence: from a character that is neither space nor a cut (a mark
+    # or \n) to the last non-space before the next cut; with keep_punct, on
+    # through the spaces and the mark that end it.
+    pattern = rf"[^\s{marks}](?:[^\n{marks}]*[^\s{marks}])?"
+    if keep_punct and marks:
+        pattern += rf"(?:[^\S\n{marks}]*[{marks}])?"
+    ranges = [m.span() for m in re.finditer(pattern, seg.text)]
     return [
         Segment(label="sentence", text=sent_text, spans=sent_spans)
-        for sent_text, sent_spans in extract_each(text, seg.spans, ranges)
+        for sent_text, sent_spans in extract_each(seg.text, seg.spans, ranges)
     ]

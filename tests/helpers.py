@@ -1076,3 +1076,40 @@ def frozen_match_regex(seg: Segment, rules: list) -> list[Entity]:
     ]
     entities.sort(key=lambda e: tuple((s.start, s.end) for s in e.normalized_spans()))
     return entities
+
+
+# The sentence splitter as first written: a per-character loop over the
+# segment's text. Kept verbatim as the reference the one-pattern splitter is
+# compared against.
+
+
+def _frozen_trimmed(text: str, start: int, end: int):
+    while start < end and text[start].isspace():
+        start += 1
+    while end > start and text[end - 1].isspace():
+        end -= 1
+    return (start, end) if start < end else None
+
+
+def frozen_split_sentences(seg: Segment, punct_chars=".!?", keep_punct: bool = True):
+    punct = set(punct_chars)
+    text = seg.text
+    ranges = []
+    start = 0
+    for i, ch in enumerate(text):
+        if ch in punct or ch == "\n":
+            rng = _frozen_trimmed(text, start, i)
+            if rng:
+                s, e = rng
+                if keep_punct and ch != "\n":
+                    e = i + 1
+                ranges.append((s, e))
+            start = i + 1
+    rng = _frozen_trimmed(text, start, len(text))
+    if rng:
+        ranges.append(rng)
+
+    return [
+        Segment(label="sentence", text=sent_text, spans=sent_spans)
+        for sent_text, sent_spans in sp.extract_each(text, seg.spans, ranges)
+    ]

@@ -1106,3 +1106,47 @@ def test_convert_and_eval_read_a_crlf_brat_pair(tmp_path):
     )
     # The offsets count the .txt's carriage returns.
     assert run_cli("eval", "--pred-dir", src, "--ref-dir", src) == 0
+
+
+def test_convert_to_brat_of_a_label_with_a_space_writes_nothing(tmp_path, capsys):
+    src = tmp_path / "in.jsonl"
+    src.write_text('{"text": "aspirine", "label": [[0, 8, "Drug name"]]}\n', encoding="utf-8")
+    code = run_cli(
+        "convert", "--in-format", "doccano", "--out-format", "brat",
+        "--in", src, "--out", tmp_path / "out",
+    )
+    assert code == 2
+    assert r"'T1\tDrug name 0 8\taspirine' is not one Brat line" in _single_error_line(capsys)
+    assert not (tmp_path / "out").exists()
+
+
+def test_eval_of_an_ann_whose_surface_length_is_not_its_fragments(tmp_path, capsys):
+    # No .txt beside the .ann, so only the fragments can check the surface.
+    bad = tmp_path / "pred" / "a.ann"
+    bad.parent.mkdir()
+    bad.write_text("T1\tDrug 0 5\tab\n", encoding="utf-8")
+    assert run_cli("eval", "--pred-dir", bad.parent, "--ref-dir", bad.parent) == 2
+    assert _single_error_line(capsys).startswith(f"error: {bad}: line 1: ")
+
+
+def test_run_fails_only_the_document_whose_brat_label_holds_a_space(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "a.txt").write_text("Prise d'aspirine.", encoding="utf-8")
+    (corpus / "b.txt").write_text("Rien.", encoding="utf-8")
+    pipeline = tmp_path / "spaced_label.json"
+    pipeline.write_text(json.dumps({
+        "name": "spaced_label", "inputs": ["doc"], "outputs": ["entities"],
+        "steps": [
+            {"op": "to_segment", "params": {}, "inputs": ["doc"], "outputs": ["seg"]},
+            {"op": "match_regex",
+             "params": {"rules": [{"pattern": "aspirine", "label": "Drug name"}]},
+             "inputs": ["seg"], "outputs": ["entities"]},
+        ],
+    }), encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli("run", "--pipeline", pipeline, "--input-dir", corpus, "--output-dir", out) == 1
+    failed = [line for line in capsys.readouterr().err.splitlines() if line.startswith("failed:")]
+    assert len(failed) == 1 and failed[0].startswith("failed: a.txt: annotation ")
+    assert "Drug name" in failed[0] and failed[0].endswith("is not one Brat line")
+    assert sorted(p.name for p in out.glob("*.ann")) == ["b.ann"]

@@ -2,15 +2,19 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from annopipe.core import Attribute, Entity, Relation, create_document
+from annopipe.core import Attribute, Entity, Relation, create_document, full_text_segment
 from annopipe.exceptions import (
+    ConfigError,
     EmptyProjectionError,
     MalformedLineError,
     SurfaceMismatchError,
 )
 from annopipe.io.brat import emit_brat, parse_brat
 from annopipe.spans import ModifiedSpan, Span, span_length
+from annopipe.textops import DeidRule, deidentify, match_dates
 
 FIXTURES = Path(__file__).parent / "fixtures" / "brat"
 
@@ -68,6 +72,16 @@ class TestParse:
         anns = parse_brat("T1\tDrug 0 3\txyz\n")
         assert anns[0].text == "xyz"
 
+    @pytest.mark.parametrize(
+        "line", ["T2\tDrug 0 5\tab", "T2\tDrug 0 2\tabc", "T2\tDrug 0 2;3 4\tabc"]
+    )
+    def test_surface_length_unlike_its_fragments_is_malformed(self, line):
+        # Two fragments cover their code points and one separator.
+        assert parse_brat("T1\tDrug 0 2;3 4\tab d\n")[0].text == "ab d"
+        with pytest.raises(MalformedLineError, match="^line 2: surface .* code points long") as err:
+            parse_brat(f"T1\tDrug 0 1\ta\n{line}\n")
+        assert err.value.line_no == 2
+
 
 class TestEmit:
     def test_canonical_numbering_and_order(self):
@@ -114,6 +128,123 @@ class TestEmit:
         doc = create_document("Hello world")
         ent = Entity(label="X", text="there", spans=[ModifiedSpan(5, (Span(6, 11),))])
         assert emit_brat(doc, [ent]) == "T1\tX 6 11\tworld\n"
+
+
+class TestEmitOneLinePerAnnotation:
+    """Line breaks inside an entity end a fragment; what one Brat line cannot
+    hold is refused, naming the annotation."""
+
+    @pytest.mark.parametrize(
+        "text, fragments, surface",
+        [("Né le 12\nmars 1980.", "6 8;9 18", "12 mars 1980"),
+         ("Né le 12\r\nmars 1980.", "6 8;10 19", "12 mars 1980")],
+    )
+    def test_date_across_a_line_break_becomes_two_fragments(self, text, fragments, surface):
+        doc = create_document(text)
+        out = emit_brat(doc, match_dates(full_text_segment(doc)))
+        assert out == f"T1\tdate {fragments}\t{surface}\nA1\tnormalized T1 1980-03-12\n"
+        (ent,) = parse_brat(out, text)
+        assert (ent.label, ent.text) == ("date", surface)
+
+    def test_entity_ending_in_a_carriage_return_drops_it(self):
+        doc = create_document("aspirine\r\n")
+        out = emit_brat(doc, [Entity(label="Drug", text="aspirine\r", spans=[Span(0, 9)])])
+        assert out == "T1\tDrug 0 8\taspirine\n"
+        assert parse_brat(out, doc.text)[0].normalized_spans() == [Span(0, 8)]
+
+    def test_entity_of_only_line_breaks_projects_to_nothing(self):
+        doc = create_document("a\r\nb")
+        with pytest.raises(EmptyProjectionError):
+            emit_brat(doc, [Entity(label="D", text="\r\n", spans=[Span(1, 3)])])
+
+    def test_placeholder_label_with_a_space_is_refused(self):
+        doc = create_document("Vu M. Dupont.")
+        _, entities = deidentify(full_text_segment(doc), [DeidRule(r"Dupont", "[PATIENT NAME]")])
+        with pytest.raises(ConfigError, match=entities[0].id):
+            emit_brat(doc, entities)
+
+    @pytest.mark.parametrize(
+        "entity_label, attribute, relation_label",
+        [
+            ("Drug name", None, "after"),
+            ("Drug", Attribute("is negated", True), "after"),
+            ("Drug", Attribute("note", ""), "after"),
+            ("Drug", Attribute("note", "a\nb"), "after"),
+            ("Drug", Attribute("note", "a\r"), "after"),
+            ("Drug", None, "comes after"),
+        ],
+    )
+    def test_what_one_line_cannot_hold_is_refused(self, entity_label, attribute, relation_label):
+        doc = create_document("abc def")
+        first = Entity(label=entity_label, text="abc", spans=[Span(0, 3)])
+        if attribute:
+            first.attributes.append(attribute)
+        second = Entity(label="Drug", text="def", spans=[Span(4, 7)])
+        rel = Relation(label=relation_label, source_id=first.id, target_id=second.id)
+        named = rel.id if relation_label == "comes after" else first.id
+        with pytest.raises(ConfigError, match=named):
+            emit_brat(doc, [first, second, rel])
+
+
+# Documents with line ends of both kinds, tabs and astral characters.
+BRAT_PIECES = ["a", "é", "\U0001F600", " ", "\t", "\n", "\r\n", "\r", ".", "x y"]
+brat_labels = st.text(
+    st.characters(whitelist_categories=("L", "N", "P", "S")), min_size=1, max_size=6
+)
+one_line_values = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n"), min_size=1
+)
+
+
+@st.composite
+def brat_documents(draw):
+    """A document and entities over random, possibly discontinuous raw ranges."""
+    doc = create_document("".join(draw(st.lists(st.sampled_from(BRAT_PIECES), min_size=1))))
+    entities = []
+    for _ in range(draw(st.integers(0, 4))):
+        cuts = sorted(draw(st.lists(st.integers(0, len(doc.text)), min_size=2, max_size=6)))
+        spans = [Span(s, e) for s, e in zip(cuts[::2], cuts[1::2])]
+        attributes = [
+            Attribute(draw(brat_labels), draw(st.one_of(st.just(True), one_line_values)))
+            for _ in range(draw(st.integers(0, 2)))
+        ]
+        entities.append(Entity(
+            label=draw(brat_labels),
+            text="".join(doc.text[s.start : s.end] for s in spans),
+            spans=spans,
+            attributes=attributes,
+        ))
+    return doc, entities
+
+
+def _runs_off_line_breaks(text, spans):
+    """Maximal runs of the characters ``spans`` cover, line breaks left out."""
+    covered = sorted({i for s in spans for i in range(s.start, s.end) if text[i] not in "\r\n"})
+    runs = []
+    for i in covered:
+        if runs and runs[-1][1] == i:
+            runs[-1][1] = i + 1
+        else:
+            runs.append([i, i + 1])
+    return [Span(s, e) for s, e in runs]
+
+
+@settings(max_examples=300, deadline=None)
+@given(brat_documents())
+def test_emit_then_parse_gives_back_labels_and_raw_ranges(drawn):
+    doc, entities = drawn
+    expected = [_runs_off_line_breaks(doc.text, e.spans) for e in entities]
+    for entity, ranges in zip(entities, expected):
+        if not ranges:
+            with pytest.raises(EmptyProjectionError):
+                emit_brat(doc, [entity])
+    kept = [(e, ranges) for e, ranges in zip(entities, expected) if ranges]
+    first = emit_brat(doc, [e for e, _ in kept])
+    parsed = parse_brat(first, doc.text)
+    assert [(e.label, e.normalized_spans()) for e in parsed] == [
+        (e.label, ranges) for e, ranges in kept
+    ]
+    assert emit_brat(doc, parsed) == first
 
 
 class TestFixtureRoundTrip:

@@ -53,6 +53,7 @@ from helpers import (
     frozen_match_dates,
     frozen_match_regex,
     frozen_original_index_per_char,
+    frozen_split_sentences,
 )
 
 
@@ -87,6 +88,45 @@ class TestSplitSentences:
     def test_chain_length_invariant(self):
         for sent in split_sentences(seg_of("Un. Deux! Trois?\nQuatre")):
             assert span_length(sent.spans) == len(sent.text)
+
+
+# Pieces of text the splitter must treat as the character loop did: line
+# ends, characters str.isspace counts as space (\x1c, \x85, \xa0, U+3000),
+# an astral character, and regex metacharacters that may be cut characters.
+SPLIT_PIECES = [
+    "a", "Zé", "\U0001F600", " ", "\t", "\n", "\r\n", "\x1c", "\x85", "\xa0", "\u3000",
+    ".", "!", "?", ";", "]", "^", "-", "\\", "[",
+]
+# Entries of punct_chars: one character, a space, a newline, longer ones and
+# an empty one.
+SPLIT_MARKS = [
+    ".", "!", "?", ";", "]", "^", "-", "\\", "[", " ", "\n", "\x85", "..", "ab", "\r\n", "",
+]
+
+split_texts = st.lists(st.sampled_from(SPLIT_PIECES), max_size=30).map("".join)
+
+
+@st.composite
+def split_segments(draw):
+    """A full-text segment, or one whose chain ``replace`` has rewritten."""
+    seg = seg_of(draw(split_texts))
+    cuts = sorted(draw(st.lists(st.integers(0, len(seg.text)), max_size=4)))
+    ranges = list(zip(cuts[::2], cuts[1::2]))
+    replacements = [draw(split_texts) for _ in ranges]
+    text, spans = replace(seg.text, seg.spans, ranges, replacements)
+    return Segment(label="segment", text=text, spans=spans)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    split_segments(),
+    st.one_of(st.lists(st.sampled_from(SPLIT_MARKS), max_size=5), split_texts),
+    st.booleans(),
+)
+def test_split_sentences_matches_frozen_splitter(seg, punct_chars, keep_punct):
+    got = split_sentences(seg, punct_chars, keep_punct)
+    expected = frozen_split_sentences(seg, punct_chars, keep_punct)
+    assert [(s.text, s.spans) for s in got] == [(s.text, s.spans) for s in expected]
 
 
 class TestDeidentify:
