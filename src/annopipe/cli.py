@@ -19,8 +19,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .exceptions import AnnopipeError, ConfigError, MalformedJsonError, MalformedLineError
-from .exceptions import MissingCounterpartError, SurfaceMismatchError
+from .exceptions import AnnopipeError, ConfigError, MissingCounterpartError
 
 if TYPE_CHECKING:
     from .core import Annotation, Document, Entity
@@ -184,16 +183,21 @@ def _directory(path: str) -> Path:
     return path
 
 
+def _named(name, call, *args):
+    """``call(*args)``; an annopipe error it raises keeps its type, and its
+    message gains ``name`` in front."""
+    try:
+        return call(*args)
+    except AnnopipeError as exc:
+        exc.args = (f"{name}: {exc}",)
+        raise
+
+
 def _parse(path, parse, *args):
-    """``parse`` of the UTF-8 text at ``path``; a parse error keeps its type and
-    its message gains the file's path in front."""
+    """``parse`` of the UTF-8 text at ``path``, its errors naming the file."""
     from .io.textdir import read_utf8
 
-    try:
-        return parse(read_utf8(path), *args)
-    except (MalformedLineError, SurfaceMismatchError, MalformedJsonError) as exc:
-        exc.args = (f"{path}: {exc}",)
-        raise
+    return _named(path, parse, read_utf8(path), *args)
 
 
 def _load_corpus(fmt: str, path: str) -> list[tuple[str, Document]]:
@@ -222,10 +226,7 @@ def _load_corpus(fmt: str, path: str) -> list[tuple[str, Document]]:
         for line_no, line in enumerate(lines, 1):
             if not line.strip():
                 continue
-            try:
-                doc, _ = parse_doccano_jsonl(line)
-            except MalformedJsonError as exc:
-                raise MalformedJsonError(f"{path}, line {line_no}: {exc}") from exc
+            doc, _ = _named(f"{path}, line {line_no}", parse_doccano_jsonl, line)
             pairs.append((f"doc_{len(pairs) + 1:04d}", doc))
         return pairs
     from .io.docjson import parse_document_json
@@ -238,7 +239,7 @@ def _write_corpus(fmt: str, path: str, pairs: list[tuple[str, Document]]) -> Non
     # Built before the first write, so a document that cannot be emitted
     # leaves nothing written.
     emit = _emitter(fmt)
-    payloads = [(stem, doc, emit(doc, doc.annotations, [])) for stem, doc in pairs]
+    payloads = [(stem, doc, _named(stem, emit, doc, doc.annotations, [])) for stem, doc in pairs]
     path = Path(path)
     if fmt == "doccano":
         path.parent.mkdir(parents=True, exist_ok=True)

@@ -121,20 +121,26 @@ def align_entities(
     for _, _, _, pi, ri in candidates:
         adjacency.setdefault(pi, []).append(ri)
 
-    def augment(pi: int, visited: set) -> bool:
-        for ri in adjacency.get(pi, []):
-            if ri in visited:
-                continue
-            visited.add(ri)
-            if ri not in match_of_ref or augment(match_of_ref[ri], visited):
-                match_of_pred[pi] = ri
-                match_of_ref[ri] = pi
-                return True
-        return False
-
-    for pi in range(len(pred)):
-        if pi not in match_of_pred:
-            augment(pi, set())
+    # Depth first from each unmatched pred, trying its refs in candidate order;
+    # the stack holds each pred of the path with the refs it has yet to try.
+    for root in range(len(pred)):
+        if root in match_of_pred:
+            continue
+        visited, stack = set(), [(root, iter(adjacency.get(root, ())))]
+        while stack:
+            ri = next((r for r in stack[-1][1] if r not in visited), None)
+            if ri is None:
+                stack.pop()
+            elif ri in match_of_ref:
+                visited.add(ri)
+                pi = match_of_ref[ri]
+                stack.append((pi, iter(adjacency[pi])))
+            else:
+                # A free ref ends the path: each pred on it takes the next ref.
+                for pi, _ in reversed(stack):
+                    match_of_ref[ri] = pi
+                    match_of_pred[pi], ri = ri, match_of_pred.get(pi)
+                break
 
     # Each (pi, ri) is one candidate, so each match gives one pair.
     pairs = [(pred[pi].id, ref[ri].id) for *_, pi, ri in candidates if match_of_pred.get(pi) == ri]

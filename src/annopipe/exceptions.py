@@ -54,6 +54,22 @@ class MalformedJsonError(AnnopipeError):
     """A JSON payload is unparsable or misses required keys."""
 
 
+JSON_SCALAR = (str, int, float, bool, type(None))
+_JSON_KINDS = {
+    dict: "an object", list: "a list", str: "a string", int: "an integer",
+    bool: "a boolean", JSON_SCALAR: "a string, number, boolean or null",
+}
+
+
+def expect_json(value, kind, what: str):
+    """``value`` if it is of the JSON type ``kind``, else MalformedJsonError
+    ``{what} must be {an object | a list | a string | an integer | a boolean |
+    a string, number, boolean or null}, not {type name}``; a boolean is no integer."""
+    if isinstance(value, kind) and not (kind is int and isinstance(value, bool)):
+        return value
+    raise MalformedJsonError(f"{what} must be {_JSON_KINDS[kind]}, not {type(value).__name__}")
+
+
 class EmptyProjectionError(AnnopipeError):
     """An annotation projects to no original span (pure insertion)."""
 

@@ -11,7 +11,7 @@ import json
 
 from . import _logger
 from ..core import Document, Entity, create_document
-from ..exceptions import MalformedJsonError, OutOfBoundsError
+from ..exceptions import MalformedJsonError, OutOfBoundsError, expect_json
 from ..spans import Span
 
 
@@ -20,26 +20,17 @@ def parse_doccano_jsonl(line: str) -> tuple[Document, list[Entity]]:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise MalformedJsonError(f"invalid JSON: {exc}") from exc
-    if not isinstance(obj, dict) or "text" not in obj:
+    if "text" not in expect_json(obj, dict, "the record"):
         raise MalformedJsonError('missing "text" key')
-    text = obj["text"]
-    if not isinstance(text, str):
-        raise MalformedJsonError('"text" must be a string')
-    labels = obj.get("label", [])
-    if "label" in obj and not isinstance(labels, list):
-        raise MalformedJsonError('"label" must be a list')
+    text = expect_json(obj["text"], str, '"text"')
     doc = create_document(text)
     entities = []
-    for index, triple in enumerate(labels):
-        try:
-            start, end, label = triple
-        except (TypeError, ValueError) as exc:
-            raise MalformedJsonError(f"label {index}: bad label triple {triple!r}") from exc
-        offsets_ok = type(start) is int and type(end) is int
-        if not (offsets_ok and isinstance(label, str) and label):
-            raise MalformedJsonError(
-                f"label {index}: {triple!r} needs int offsets and a non-empty string label"
-            )
+    for index, triple in enumerate(expect_json(obj.get("label", []), list, '"label"')):
+        where = f"label {index}"
+        if len(expect_json(triple, list, where)) != 3 or triple[2] == "":
+            raise MalformedJsonError(f"{where}: bad label triple {triple!r}")
+        start, end = (expect_json(offset, int, f"{where}: each offset") for offset in triple[:2])
+        label = expect_json(triple[2], str, f"{where}: the label")
         if start < 0 or end > len(text) or start > end:
             raise OutOfBoundsError(
                 f"label span ({start}, {end}) out of bounds for length {len(text)}"

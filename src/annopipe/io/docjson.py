@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 
 from ..core import Annotation, Attribute, Document, Entity, Relation, Segment
-from ..exceptions import MalformedJsonError
+from ..exceptions import JSON_SCALAR, AnnopipeError, MalformedJsonError, expect_json
 from ..spans import AnySpan, ModifiedSpan, Span
 
 
@@ -19,81 +19,80 @@ def _span_to_obj(span: AnySpan) -> dict:
     return {"len": span.length, "replaced": [{"s": r.start, "e": r.end} for r in span.replaced]}
 
 
-def _int(obj: dict, key: str) -> int:
-    value = obj[key]
-    if type(value) is not int:
-        raise TypeError(f"{key!r} must be an integer, not {value!r}")
-    return value
+def _get(obj: dict, key: str, kind, default=None):
+    """``obj[key]``, or ``default`` if given for a missing key, of JSON type ``kind``."""
+    if default is None and key not in obj:
+        raise MalformedJsonError(f"missing key {key!r}")
+    return expect_json(obj.get(key, default), kind, f'"{key}"')
 
 
-def _str(obj: dict, key: str) -> str:
-    value = obj[key]
-    if not isinstance(value, str):
-        raise TypeError(f"{key!r} must be a string, not {value!r}")
-    return value
+def _original(obj) -> Span:
+    obj = expect_json(obj, dict, "each span")
+    return Span(_get(obj, "s", int), _get(obj, "e", int))
 
 
-def _object(obj: dict, key: str) -> dict:
-    value = obj.get(key, {})
-    if not isinstance(value, dict):
-        raise TypeError(f"{key!r} must be an object, not {value!r}")
-    return value
+def _span_from_obj(obj) -> AnySpan:
+    if "len" not in expect_json(obj, dict, "each span"):
+        return _original(obj)
+    replaced = _get(obj, "replaced", list, [])
+    return ModifiedSpan(_get(obj, "len", int), tuple(map(_original, replaced)))
 
 
-def _span_from_obj(obj: dict) -> AnySpan:
-    if "len" in obj:
-        return ModifiedSpan(
-            _int(obj, "len"),
-            tuple(Span(_int(r, "s"), _int(r, "e")) for r in obj.get("replaced", [])),
-        )
-    return Span(_int(obj, "s"), _int(obj, "e"))
+def _attr_from_obj(obj) -> Attribute:
+    obj = expect_json(obj, dict, "each attribute")
+    value = _get(obj, "value", JSON_SCALAR)
+    return Attribute(id=_get(obj, "id", str), label=_get(obj, "label", str), value=value)
 
 
-def _attr_to_obj(attr: Attribute) -> dict:
-    return {"id": attr.id, "label": attr.label, "value": attr.value}
+_KINDS = {"annotation": Annotation, "segment": Segment, "entity": Entity, "relation": Relation}
 
 
 def _ann_to_obj(ann: Annotation) -> dict:
     obj = {
         "id": ann.id,
         "label": ann.label,
-        "attributes": [_attr_to_obj(a) for a in ann.attributes],
+        "attributes": [{"id": a.id, "label": a.label, "value": a.value} for a in ann.attributes],
         "metadata": ann.metadata,
+        # The most specific kind: Entity and Relation are listed after their bases.
+        "kind": next(k for k, cls in reversed(_KINDS.items()) if isinstance(ann, cls)),
     }
     if isinstance(ann, Segment):
-        obj["kind"] = "entity" if isinstance(ann, Entity) else "segment"
         obj["text"] = ann.text
         obj["spans"] = [_span_to_obj(s) for s in ann.spans]
     elif isinstance(ann, Relation):
-        obj["kind"] = "relation"
         obj["source_id"] = ann.source_id
         obj["target_id"] = ann.target_id
-    else:
-        obj["kind"] = "annotation"
     return obj
 
 
-def _ann_from_obj(obj: dict) -> Annotation:
+def _ann_from_obj(obj, raw: str) -> Annotation:
+    """The annotation ``obj`` states; each original span of a segment must
+    read in its text as in the document's raw text ``raw``."""
+    obj = expect_json(obj, dict, "each annotation")
     common = dict(
-        id=_str(obj, "id"),
-        label=_str(obj, "label"),
-        attributes=[
-            Attribute(id=_str(a, "id"), label=_str(a, "label"), value=a["value"])
-            for a in obj.get("attributes", [])
-        ],
-        metadata=_object(obj, "metadata"),
+        id=_get(obj, "id", str),
+        label=_get(obj, "label", str),
+        attributes=[_attr_from_obj(a) for a in _get(obj, "attributes", list, [])],
+        metadata=_get(obj, "metadata", dict, {}),
     )
-    kind = obj.get("kind", "annotation")
-    if kind in ("segment", "entity"):
-        cls = Entity if kind == "entity" else Segment
-        return cls(
-            text=_str(obj, "text"),
-            spans=[_span_from_obj(s) for s in obj["spans"]],
-            **common,
-        )
+    kind = _get(obj, "kind", str, "annotation")
+    if kind not in _KINDS:
+        raise MalformedJsonError(f'"kind" must be one of {", ".join(_KINDS)}, not {kind!r}')
     if kind == "relation":
-        return Relation(source_id=obj["source_id"], target_id=obj["target_id"], **common)
-    return Annotation(**common)
+        common.update((key, _get(obj, key, str)) for key in ("source_id", "target_id"))
+    if kind in ("annotation", "relation"):
+        return _KINDS[kind](**common)
+    spans = [_span_from_obj(s) for s in _get(obj, "spans", list)]
+    seg = _KINDS[kind](text=_get(obj, "text", str), spans=spans, **common)
+    start = 0
+    for span in seg.spans:
+        text, start = seg.text[start:start + span.length], start + span.length
+        if isinstance(span, Span) and text != raw[span.start:span.end]:
+            raise MalformedJsonError(
+                f"span ({span.start}, {span.end}): text {text!r} does not match "
+                f"document slice {raw[span.start:span.end]!r}"
+            )
+    return seg
 
 
 def serialize_document_json(doc: Document) -> str:
@@ -108,29 +107,14 @@ def serialize_document_json(doc: Document) -> str:
 
 def parse_document_json(text: str) -> Document:
     try:
-        obj = json.loads(text)
+        obj = expect_json(json.loads(text), dict, "the document")
     except json.JSONDecodeError as exc:
         raise MalformedJsonError(f"invalid JSON: {exc}") from exc
-    if not isinstance(obj, dict) or "text" not in obj:
-        raise MalformedJsonError('missing "text" key')
-    if not isinstance(obj["text"], str):
-        raise MalformedJsonError('"text" must be a string')
-    if not isinstance(obj.get("id", ""), str):
-        raise MalformedJsonError('"id" must be a string')
-    if not isinstance(obj.get("metadata", {}), dict):
-        raise MalformedJsonError('"metadata" must be an object')
-    annotations = obj.get("annotations", [])
-    if not isinstance(annotations, list):
-        raise MalformedJsonError('"annotations" must be a list')
-    doc = Document(text=obj["text"], metadata=obj.get("metadata", {}))
-    if obj.get("id"):
-        doc.id = obj["id"]
-    for index, ann_obj in enumerate(annotations):
+    doc = Document(text=_get(obj, "text", str), metadata=_get(obj, "metadata", dict, {}))
+    doc.id = _get(obj, "id", str, "") or doc.id
+    for index, ann_obj in enumerate(_get(obj, "annotations", list, [])):
         try:
-            ann = _ann_from_obj(ann_obj)
-        except KeyError as exc:
-            raise MalformedJsonError(f"annotation {index}: missing key {exc}") from exc
-        except (TypeError, ValueError) as exc:
+            doc.attach(_ann_from_obj(ann_obj, doc.text))
+        except (AnnopipeError, ValueError) as exc:
             raise MalformedJsonError(f"annotation {index}: {exc}") from exc
-        doc.attach(ann)
     return doc

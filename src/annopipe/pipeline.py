@@ -29,8 +29,10 @@ from .core import new_id
 from .exceptions import (
     ConfigError,
     DuplicateNameError,
+    MalformedJsonError,
     MissingInputError,
     StepFailureError,
+    expect_json,
 )
 
 if TYPE_CHECKING:
@@ -56,9 +58,9 @@ class PipelineSpec:
     def from_dict(cls, obj: dict) -> "PipelineSpec":
         """A spec from its JSON form; ConfigError names a missing, unknown or mistyped key."""
         try:
-            _checked_keys(obj, _PIPELINE_KEYS, "")
-            for index, step in enumerate(obj["steps"]):
-                _checked_keys(step, _STEP_KEYS, f"step {index}: ")
+            _checked_keys(expect_json(obj, dict, "the top level"), _PIPELINE_KEYS, "")
+            for i, step in enumerate(obj["steps"]):
+                _checked_keys(expect_json(step, dict, f"step {i}"), _STEP_KEYS, f"step {i}: ")
             return cls(
                 name=obj["name"],
                 pipeline_inputs=list(obj["inputs"]),
@@ -73,7 +75,7 @@ class PipelineSpec:
                     for step in obj["steps"]
                 ],
             )
-        except (AttributeError, KeyError, TypeError) as exc:
+        except (KeyError, MalformedJsonError) as exc:
             raise ConfigError(f"invalid pipeline config: {exc}") from exc
 
     def to_dict(self) -> dict:
@@ -96,19 +98,16 @@ class PipelineSpec:
 # The keys of a pipeline config and of each of its steps, with the JSON type of each.
 _PIPELINE_KEYS = {"name": str, "inputs": list, "outputs": list, "steps": list}
 _STEP_KEYS = {"op": str, "params": dict, "inputs": list, "outputs": list}
-_JSON_TYPES = {str: "a string", list: "a list", dict: "an object"}
 
 
 def _checked_keys(obj: dict, types: dict, where: str) -> None:
-    """ConfigError for the first key of ``obj`` not in ``types`` or of another type."""
+    """MalformedJsonError for the first key of ``obj`` not in ``types`` or of another type."""
     for key, value in obj.items():
         if key not in types:
-            raise ConfigError(f"invalid pipeline config: {where}unknown key {key!r}")
-        if not isinstance(value, types[key]):
-            kind = f"{_JSON_TYPES[types[key]]}, not {type(value).__name__}"
-            raise ConfigError(f"invalid pipeline config: {where}{key!r} must be {kind}")
+            raise MalformedJsonError(f"{where}unknown key {key!r}")
+        expect_json(value, types[key], f"{where}{key!r}")
         if key in ("inputs", "outputs") and not all(isinstance(k, str) for k in value):
-            raise ConfigError(f"invalid pipeline config: {where}{key!r} must hold strings")
+            raise MalformedJsonError(f"{where}{key!r} must hold strings")
 
 
 @dataclass

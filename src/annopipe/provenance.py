@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .exceptions import CycleDetectedError, MalformedJsonError, SelfDerivationError
+from .exceptions import CycleDetectedError, MalformedJsonError, SelfDerivationError, expect_json
 
 
 class VerbosityLevel(enum.IntEnum):
@@ -365,32 +365,27 @@ def _write_prov_json(graph: ProvGraph, write) -> None:
     write("}")
 
 
-def _expect(value, kind: type, what: str):
-    if not isinstance(value, kind):
-        raise MalformedJsonError(f"{what} must be a JSON {'object' if kind is dict else 'string'}")
-    return value
-
-
 def _graph_from_dict(doc: dict) -> ProvGraph:
     graph = ProvGraph()
-    graph.entities = set(_expect(doc.get("entity", {}), dict, "section 'entity'"))
-    for act_id, rec in _expect(doc.get("activity", {}), dict, "section 'activity'").items():
-        rec = _expect(rec, dict, f"activity {act_id!r}")
+    graph.entities = set(expect_json(doc.get("entity", {}), dict, "section 'entity'"))
+    for act_id, rec in expect_json(doc.get("activity", {}), dict, "section 'activity'").items():
+        rec = expect_json(rec, dict, f"activity {act_id!r}")
+        where = f"of activity {act_id!r}"
         graph.activities[act_id] = Activity(
             act_id,
-            _expect(rec.get("prov:label", ""), str, f"prov:label of activity {act_id!r}"),
-            dict(_expect(rec.get("config", {}), dict, f"config of activity {act_id!r}")),
-            composite=bool(rec.get("composite")),
+            expect_json(rec.get("prov:label", ""), str, f"prov:label {where}"),
+            dict(expect_json(rec.get("config", {}), dict, f"config {where}")),
+            composite=expect_json(rec.get("composite", False), bool, f"composite {where}"),
         )
         if "members" in rec:
-            members = _expect(rec["members"], dict, f"members of activity {act_id!r}")
+            members = expect_json(rec["members"], dict, f"members {where}")
             graph.sub_graphs[act_id] = _graph_from_dict(members)
     for field_name, section, _, first, second in _RELATIONS:
         pairs = getattr(graph, field_name)
-        for rec_id, rec in _expect(doc.get(section, {}), dict, f"section {section!r}").items():
+        for rec_id, rec in expect_json(doc.get(section, {}), dict, f"section {section!r}").items():
             where = f"{section} record {rec_id!r}"
-            rec = _expect(rec, dict, where)
-            pairs.append(tuple(_expect(rec.get(k), str, f"{k} of {where}") for k in (first, second)))
+            rec = expect_json(rec, dict, where)
+            pairs.append(tuple(expect_json(rec.get(k), str, f"{k} of {where}") for k in (first, second)))
     return graph
 
 
@@ -433,4 +428,4 @@ def parse_prov_json(text: str) -> ProvGraph:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedJsonError(f"invalid JSON: {exc}") from exc
-    return _graph_from_dict(_expect(doc, dict, "PROV-JSON document"))
+    return _graph_from_dict(expect_json(doc, dict, "PROV-JSON document"))

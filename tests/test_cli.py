@@ -1150,3 +1150,43 @@ def test_run_fails_only_the_document_whose_brat_label_holds_a_space(tmp_path, ca
     assert len(failed) == 1 and failed[0].startswith("failed: a.txt: annotation ")
     assert "Drug name" in failed[0] and failed[0].endswith("is not one Brat line")
     assert sorted(p.name for p in out.glob("*.ann")) == ["b.ann"]
+
+
+def test_convert_of_a_doccano_label_brat_cannot_hold_names_the_document(tmp_path, capsys):
+    src = tmp_path / "in.jsonl"
+    src.write_text('{"text": "aspirine", "label": [[0, 8, "Drug name"]]}\n', encoding="utf-8")
+    code = run_cli(
+        "convert", "--in-format", "doccano", "--out-format", "brat",
+        "--in", src, "--out", tmp_path / "out",
+    )
+    assert code == 2
+    assert _single_error_line(capsys).startswith("error: doc_0001: annotation ")
+    assert not (tmp_path / "out").exists()
+
+
+_ENTITY = {"id": "a", "label": "Drug", "kind": "entity", "text": "abc", "spans": [{"s": 0, "e": 3}]}
+
+
+@pytest.mark.parametrize(
+    "annotations, where",
+    [
+        ([dict(_ENTITY, attributes=[{"id": "b", "label": "v", "value": {"k": 1}}])], 0),
+        ([dict(_ENTITY, text="xyz")], 0),
+        ([dict(_ENTITY, text="abcdefghi", spans=[{"s": 0, "e": 9}])], 0),
+        ([_ENTITY, _ENTITY], 1),
+    ],
+    ids=["attribute value an object", "text unlike the document", "span past the end", "repeated id"],
+)
+def test_convert_of_a_malformed_native_json_document_names_the_file(
+    tmp_path, capsys, annotations, where
+):
+    bad = tmp_path / "in" / "doc.json"
+    bad.parent.mkdir()
+    bad.write_text(json.dumps({"text": "abc def", "annotations": annotations}), encoding="utf-8")
+    code = run_cli(
+        "convert", "--in-format", "json", "--out-format", "brat",
+        "--in", bad.parent, "--out", tmp_path / "out",
+    )
+    assert code == 2
+    assert _single_error_line(capsys).startswith(f"error: {bad}: annotation {where}: ")
+    assert not (tmp_path / "out").exists()

@@ -27,6 +27,15 @@ def ent(start, end, label="Drug"):
     return Entity(label=label, text="x" * (end - start), spans=[Span(start, end)])
 
 
+def test_overlap_alignment_of_a_1500_entity_chain():
+    # Each pred shares 9 characters with the ref at its index and 1 with the
+    # ref before; the augmenting path from the last pred visits every pred.
+    pred = [ent(10 * i, 10 * i + 10) for i in range(1500)]
+    ref = [ent(10 * i + 1, 10 * i + 11) for i in range(1499)]
+    counts = evaluate(pred, ref, MatchSpec(mode="overlap", iou_threshold=0.01)).micro
+    assert (counts.tp, counts.fp, counts.fn) == (1499, 1, 0)
+
+
 class TestMatchSpec:
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):

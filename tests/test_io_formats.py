@@ -93,6 +93,48 @@ MALFORMED_DOCJSON = {
     ),
     "document id not a string": (lambda obj: obj.update(id=7), '"id"'),
     "document metadata not an object": (lambda obj: obj.update(metadata=5), '"metadata"'),
+    "relation id not a string": (
+        lambda obj: obj["annotations"].append(
+            {"id": "r1", "label": "in", "kind": "relation", "source_id": 5, "target_id": "x"}
+        ),
+        'annotation 1: "source_id" must be a string, not int',
+    ),
+    "attribute value an object": (
+        lambda obj: _break_first_annotation(
+            obj, "attributes", [{"id": "a1", "label": "v", "value": {"k": 1}}]
+        ),
+        'annotation 0: "value" must be a string, number, boolean or null, not dict',
+    ),
+    "boolean offset": (
+        lambda obj: _break_first_annotation(obj, "spans", [{"s": False, "e": 11}]),
+        'annotation 0: "s" must be an integer, not bool',
+    ),
+    "attributes an object": (
+        lambda obj: _break_first_annotation(obj, "attributes", {"a1": True}),
+        'annotation 0: "attributes" must be a list, not dict',
+    ),
+    "unknown kind": (
+        lambda obj: _break_first_annotation(obj, "kind", "entiy"),
+        "annotation 0: \"kind\" must be one of annotation, segment, entity, relation, not 'entiy'",
+    ),
+    "text unlike the document": (
+        lambda obj: _break_first_annotation(obj, "text", "Hello World"),
+        r"annotation 0: span \(0, 11\): text 'Hello World' does not match document slice 'Hello world'",
+    ),
+    "original span past the end of the text": (
+        lambda obj: obj["annotations"][0].update(text="Hello world!", spans=[{"s": 0, "e": 12}]),
+        r"annotation 0: span \(0, 12\): text 'Hello world!' does not match",
+    ),
+    "replaced range past the end of the text": (
+        lambda obj: _break_first_annotation(
+            obj, "spans", [{"len": 11, "replaced": [{"s": 0, "e": 20}]}]
+        ),
+        r"annotation 0: span \(0, 20\) exceeds text length 11",
+    ),
+    "repeated id": (
+        lambda obj: obj["annotations"].append(dict(obj["annotations"][0])),
+        r"annotation 1: annotation \w+ already attached",
+    ),
 }
 
 

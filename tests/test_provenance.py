@@ -402,6 +402,7 @@ MALFORMED = {
     "id not a string": {"wasDerivedFrom": {"d1": {"prov:generatedEntity": 1, "prov:usedEntity": "e"}}},
     "label not a string": {"activity": {"a": {"prov:label": 7}}},
     "config not an object": {"activity": {"a": {"prov:label": "x", "config": 5}}},
+    "composite not a boolean": {"activity": {"a": {"prov:label": "x", "composite": "no"}}},
 }
 
 
