@@ -32,6 +32,9 @@ class LabelCounts:
     fp: int = 0
     fn: int = 0
 
+    def __add__(self, other: LabelCounts) -> LabelCounts:
+        return LabelCounts(self.tp + other.tp, self.fp + other.fp, self.fn + other.fn)
+
     @property
     def precision(self) -> float:
         return self.tp / (self.tp + self.fp) if self.tp + self.fp else 0.0
@@ -52,12 +55,7 @@ class Metrics:
 
     @property
     def micro(self) -> LabelCounts:
-        total = LabelCounts()
-        for counts in self.per_label.values():
-            total.tp += counts.tp
-            total.fp += counts.fp
-            total.fn += counts.fn
-        return total
+        return sum(self.per_label.values(), LabelCounts())
 
 
 def _located(entities: list[Entity]) -> list[tuple[int, int, int, set]]:
@@ -194,10 +192,7 @@ def merge_metrics(parts: list[Metrics]) -> Metrics:
     total = Metrics()
     for part in parts:
         for label, counts in part.per_label.items():
-            slot = total.per_label.setdefault(label, LabelCounts())
-            slot.tp += counts.tp
-            slot.fp += counts.fp
-            slot.fn += counts.fn
+            total.per_label[label] = total.per_label.get(label, LabelCounts()) + counts
     return total
 
 

@@ -117,4 +117,11 @@ def parse_document_json(text: str) -> Document:
             doc.attach(_ann_from_obj(ann_obj, doc.text))
         except (AnnopipeError, ValueError) as exc:
             raise MalformedJsonError(f"annotation {index}: {exc}") from exc
+    # A relation may name an annotation listed after it, so ids are checked once all are in.
+    for index, ann in enumerate(doc.annotations):
+        for key in ("source_id", "target_id") if isinstance(ann, Relation) else ():
+            named = getattr(ann, key)
+            if doc.get_annotation(named) is None:
+                where = f'annotation {index}: "{key}"'
+                raise MalformedJsonError(f"{where} names no annotation: {named!r}")
     return doc

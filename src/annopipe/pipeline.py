@@ -12,12 +12,13 @@ key against what its producer declares. One runner runs every step: once per
 index of the lists wired to one-item inputs (a list input goes whole to
 every call), concatenating the outputs declared as lists.
 
-A traced run states lineage in the same pass: what each call made derives
-from what it took, unless the operation returns ``Derived`` with its own
-pairs; a call that took a list whole and stated nothing derives every output
-from every input; and a step that made nothing records one stand-in item
-derived from all it took. A run without a tracer, or at level NONE, does no
-provenance work, and one without a tracer does not load ``provenance``.
+A traced run states lineage in the same pass, as (output, source) pairs:
+each item a call made derives from each item that call took (the item at
+its index of a mapped list, the whole of a list input, the one item
+otherwise), unless the operation returns ``Derived`` with its own pairs. A
+step that made nothing records one stand-in item derived from all it took.
+A run without a tracer, or at level NONE, does no provenance work, and one
+without a tracer does not load ``provenance``.
 """
 
 from __future__ import annotations
@@ -346,13 +347,13 @@ def compile_pipeline(
 
 def _run_step(
     registered: _Registered, op: Callable, args: list, minted: Optional[dict]
-) -> tuple[tuple, Optional[tuple[list, list, Optional[list]]]]:
+) -> tuple[tuple, Optional[tuple[list, list, list]]]:
     """Run one step's operation; return its outputs and, if traced, its lineage.
 
     Without ``minted`` the step is not traced and its lineage is None;
     otherwise it is the step's source ids, output ids and (output, source)
-    id pairs, or None for pairs when a call took a list whole and returned
-    no ``Derived``.
+    id pairs: each call's own ``Derived`` pairs, or each item the call made
+    with each item it took.
     """
     mapped = [
         isinstance(a, list) and not isinstance(s, list) for s, a in zip(registered.inputs, args)
@@ -380,12 +381,11 @@ def _run_step(
 
     arg_ids = [[_source_id(minted, item) for item in _items(a)] for a in args]
     source_ids = [i for ids in arg_ids for i in ids]
-    whole = any(isinstance(s, list) for s in registered.inputs)
     per_slot = [[] for _ in registered.outputs]
     pairs = []
     for i, (result, own) in enumerate(zip(results, stated)):
-        took = () if whole else dict.fromkeys(
-            ids[i] if m else ids[0] for m, ids in zip(mapped, arg_ids)
+        took = dict.fromkeys(
+            src for m, ids in zip(mapped, arg_ids) for src in ((ids[i],) if m else ids)
         )
         for made, slot, slot_ids in zip(result, registered.outputs, per_slot):
             for item in made if isinstance(slot, list) else (made,):
@@ -397,14 +397,11 @@ def _run_step(
             # The call's outputs already have their ids, so both sides are looked up.
             pairs.extend((_source_id(minted, o), _source_id(minted, s)) for o, s in own)
     output_ids = [i for ids in per_slot for i in ids]
-    if whole and None in stated:
-        pairs = None
     if not output_ids:
         # The step made nothing; an id stands for its empty result, derived
         # from everything the step took.
         output_ids = [new_id()]
-        if pairs is not None:
-            pairs = [(output_ids[0], s) for s in dict.fromkeys(source_ids)]
+        pairs = [(output_ids[0], s) for s in dict.fromkeys(source_ids)]
     return outputs, (source_ids, output_ids, pairs)
 
 

@@ -2,21 +2,24 @@
 
 A Tracer accumulates records of which operation produced which data items
 from which inputs. Records carry an optional scope identifying the composite
-activity (nested pipeline) they ran under, and may name which output derives
-from which source. build_graph turns a trace into a PROV-style graph: at
-`steps` verbosity nested pipelines collapse into a single composite activity,
-at `full` verbosity composites additionally carry their expanded sub-graph.
+activity (nested pipeline) they ran under, and the (output, source) pairs
+saying which output derives from which source. build_graph turns a trace into
+a PROV-style graph: each activity's outputs derive from sources by its pairs,
+and a composite's exposed outputs from the outside sources its members' pairs
+lead back to. At `steps` verbosity nested pipelines collapse into a single
+composite activity, at `full` verbosity composites additionally carry their
+expanded sub-graph.
 """
 
 from __future__ import annotations
 
 import enum
 import json
-import uuid
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .core import new_id
 from .exceptions import CycleDetectedError, MalformedJsonError, SelfDerivationError, expect_json
 
 
@@ -36,7 +39,7 @@ class OperationDescriptor:
 
     name: str
     config: dict = field(default_factory=dict)
-    id: str = field(default_factory=lambda: str(uuid.uuid4()))
+    id: str = field(default_factory=new_id)
 
     def __post_init__(self):
         if not self.name:
@@ -58,8 +61,7 @@ class _Record:
     sources: list[str]
     outputs: list[str]
     scope: Optional[str]
-    # (output, source) pairs; None derives every output from every source.
-    derivations: Optional[list[tuple[str, str]]] = None
+    derivations: list[tuple[str, str]]  # (output, source) pairs
 
 
 @dataclass
@@ -89,7 +91,7 @@ class Tracer:
 
         ``derivations`` lists the ``(output, source)`` pairs saying which
         output derives from which source; without it, every output derives
-        from every source.
+        from every source, and the record holds those pairs.
         """
         if not outputs:
             raise ValueError("record requires at least one output")
@@ -109,9 +111,9 @@ class Tracer:
                     )
         if self.level == VerbosityLevel.NONE:
             return
-        self._records.append(
-            _Record(op, list(sources), list(outputs), scope, derivations)
-        )
+        if derivations is None:
+            derivations = [(o, s) for o in dict.fromkeys(outputs) for s in dict.fromkeys(sources)]
+        self._records.append(_Record(op, list(sources), list(outputs), scope, derivations))
 
     def open_scope(
         self, op: OperationDescriptor, parent: Optional[str] = None
@@ -119,7 +121,7 @@ class Tracer:
         """Declare a composite activity (nested pipeline); returns its scope id."""
         if parent is not None and parent not in self._scopes:
             raise ValueError(f"open_scope names unknown parent scope {parent!r}")
-        scope_id = str(uuid.uuid4())
+        scope_id = new_id()
         self._scopes[scope_id] = _Scope(scope_id, op, parent)
         return scope_id
 
@@ -189,23 +191,15 @@ class ProvGraph:
             sub.check_acyclic()
 
 
-def _add_activity_edges(
-    graph: ProvGraph, act_id: str, sources, outputs, derivations=None
-) -> None:
-    """Edges of one activity; without ``derivations`` every output derives
-    from every source."""
+def _add_activity_edges(graph: ProvGraph, act_id: str, sources, outputs, derivations) -> None:
+    """Edges of one activity, deriving outputs from sources by ``derivations``."""
     graph.entities.update(sources)
     graph.entities.update(outputs)
     for src in sources:
         graph.used.append((act_id, src))
     for out in outputs:
         graph.was_generated_by.append((out, act_id))
-    if derivations is not None:
-        graph.was_derived_from.extend(dict.fromkeys(derivations))
-        return
-    for out in outputs:
-        for src in sources:
-            graph.was_derived_from.append((out, src))
+    graph.was_derived_from.extend(dict.fromkeys(derivations))
 
 
 def _composite_derivations(records: list, generated: set, exposed) -> list:
@@ -266,15 +260,10 @@ def _build_level(
 
     for key, unit in units.items():
         if isinstance(key, int):
-            act_id = str(uuid.uuid4())
+            act_id = new_id()
             graph.activities[act_id] = Activity(act_id, unit.op.name, dict(unit.op.config))
-            _add_activity_edges(
-                graph,
-                act_id,
-                dict.fromkeys(unit.sources),
-                dict.fromkeys(unit.outputs),
-                unit.derivations,
-            )
+            sources, outputs = dict.fromkeys(unit.sources), dict.fromkeys(unit.outputs)
+            _add_activity_edges(graph, act_id, sources, outputs, unit.derivations)
             continue
         generated = {o for rec in unit for o in rec.outputs}
         consumed = {s for rec in unit for s in rec.sources}
@@ -290,16 +279,12 @@ def _build_level(
             for o in rec.outputs
             if o not in consumed or mentions[o] > inside[o]
         )
-        # Pairs are derived only when every record inside has its own;
-        # otherwise every exposed output derives from every external source.
-        derivations = None
-        if all(rec.derivations is not None for rec in unit):
-            derivations = _composite_derivations(unit, generated, exposed)
         scope = tracer._scopes[key]
         graph.activities[key] = Activity(
             key, scope.op.name, dict(scope.op.config), composite=True
         )
-        _add_activity_edges(graph, key, ext_sources, exposed, derivations)
+        pairs = _composite_derivations(unit, generated, exposed)
+        _add_activity_edges(graph, key, ext_sources, exposed, pairs)
         if tracer.level >= VerbosityLevel.FULL:
             graph.sub_graphs[key] = _build_level(tracer, key, unit, mentions)
 

@@ -715,6 +715,16 @@ def frozen_build_graph(tracer: Tracer) -> ProvGraph:
     return graph
 
 
+def reachable_from(pairs, start) -> set:
+    """Items the (output, source) ``pairs`` lead back to from ``start``, by fixpoint."""
+    reached = {src for out, src in pairs if out == start}
+    while True:
+        more = {src for out, src in pairs if out in reached} - reached
+        if not more:
+            return reached
+        reached |= more
+
+
 # Item lineage by brute force: each item of a step whose inputs are all
 # declared one-item runs through the step's bound op alone, and the outputs
 # that call made, matched to the recorded outputs by position and content,
@@ -746,6 +756,42 @@ def _item_step_derivations(registered, op, args: list, outs: list) -> set:
     return pairs
 
 
+def _whole_list_derivations(registered, op, args: list, outs: list) -> set:
+    """Pairs of a step taking a list whole: call i runs the bound op alone on
+    item i of each list wired to a one-item input and the whole of every
+    other arg, and each output it made derives from each item it took. An
+    output is named by its id, or, without one, by its position among the
+    step's outputs, which list each output slot's items in call order."""
+    mapped = [
+        isinstance(a, list) and not isinstance(s, list) for s, a in zip(registered.inputs, args)
+    ]
+    lengths = {len(a) for a, m in zip(args, mapped) if m}
+    calls = []
+    for i in range(lengths.pop() if lengths else 1):
+        took = [a[i] if m else a for a, m in zip(args, mapped)]
+        result = op(*took)
+        calls.append((took, result if len(registered.outputs) > 1 else (result,)))
+    pairs = set()
+    position = 0
+    for pos, (slot, out) in enumerate(zip(registered.outputs, outs)):
+        recorded = out if isinstance(out, list) else [out]
+        cursor = 0
+        for took, result in calls:
+            sources = {x.id for t in took for x in (t if isinstance(t, list) else [t])}
+            for item in result[pos] if isinstance(slot, list) else [result[pos]]:
+                made = recorded[cursor]
+                if isinstance(made, str):
+                    assert item == made
+                else:
+                    assert entity_fingerprint(item) == entity_fingerprint(made)
+                name = made.id if hasattr(made, "id") else position + cursor
+                pairs.update((name, src) for src in sources)
+                cursor += 1
+        assert cursor == len(recorded)
+        position += cursor
+    return pairs
+
+
 def _context_derivations(args: list, outs: list) -> set:
     sentences, entities = args
     pairs = set()
@@ -765,8 +811,9 @@ def expected_derivations(plan, env: dict) -> list:
 
     ``env`` holds every slot value of the run; a sub-pipeline must list all
     of its slots among its outputs, so that its steps' values are there too.
-    The pairs are a set of ``(output id, source id)``, or None for a step
-    taking a list whole, whose outputs derive from all of its inputs.
+    The pairs are a set of ``(output, source id)``: each output of a call
+    with each item that call took, or, for detect_context, with its entity
+    and sentences.
     """
     expected = []
     for step, registered, op in plan.steps:
@@ -780,7 +827,7 @@ def expected_derivations(plan, env: dict) -> list:
         elif step.op_name == "detect_context":
             expected.append((step.op_name, _context_derivations(args, outs)))
         elif any(isinstance(slot, list) for slot in registered.inputs):
-            expected.append((step.op_name, None))
+            expected.append((step.op_name, _whole_list_derivations(registered, op, args, outs)))
         else:
             expected.append((step.op_name, _item_step_derivations(registered, op, args, outs)))
     return expected

@@ -848,9 +848,13 @@ def test_eval_of_a_missing_directory_exits_2(tmp_path, capsys, missing):
 
 
 def _counted_ids(fn, *args):
-    """Call ``fn`` with uuid.uuid4 drawn from a fresh counter."""
+    """Call ``fn`` with provenance ids and uuid.uuid4 drawn from one fresh counter."""
     counter = itertools.count()
-    with mock.patch("uuid.uuid4", lambda: f"act{next(counter)}"):
+
+    def count():
+        return f"act{next(counter)}"
+
+    with mock.patch("uuid.uuid4", count), mock.patch("annopipe.provenance.new_id", count):
         return fn(*args)
 
 
@@ -903,6 +907,17 @@ def _convert_of_a_non_utf8_json(tmp):
     bad = _non_utf8(tmp / "in" / "doc.json")
     return ["convert", "--in-format", "json", "--out-format", "brat",
             "--in", tmp / "in", "--out", tmp / "out"], bad
+
+
+def _convert_of_a_dangling_relation_json(tmp):
+    (tmp / "in").mkdir()
+    bad = tmp / "in" / "doc.json"
+    bad.write_text(json.dumps({"text": "abc", "annotations": [
+        {"id": "a", "label": "Drug", "kind": "entity", "text": "abc", "spans": [{"s": 0, "e": 3}]},
+        {"id": "r", "label": "rel", "kind": "relation", "source_id": "a", "target_id": "zz"},
+    ]}), encoding="utf-8")
+    return ["convert", "--in-format", "json", "--out-format", "brat",
+            "--in", bad.parent, "--out", tmp / "out"], bad
 
 
 def _convert_of_a_non_utf8_doccano_file(tmp):
@@ -996,6 +1011,7 @@ BOUNDARY_CASES = {
     "eval non-UTF-8 .ann": _eval_of_a_non_utf8_ann,
     "convert brat non-UTF-8 .ann": _convert_of_a_non_utf8_brat_ann,
     "convert json non-UTF-8 .json": _convert_of_a_non_utf8_json,
+    "convert json relation naming no annotation": _convert_of_a_dangling_relation_json,
     "convert doccano non-UTF-8 file": _convert_of_a_non_utf8_doccano_file,
     "run non-UTF-8 pipeline": _run_of_a_non_utf8_pipeline,
     "eval json-out into a missing directory": _eval_json_out_into_a_missing_directory,

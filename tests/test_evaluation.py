@@ -113,6 +113,16 @@ class TestScores:
         assert metrics.per_label["B"].fp == 1
         assert metrics.per_label["B"].fn == 1
 
+    def test_counts_add_field_by_field_into_a_new_count(self):
+        a, b = LabelCounts(1, 2, 3), LabelCounts(10, 20, 30)
+        assert a + b == LabelCounts(11, 22, 33)
+        assert (a, b) == (LabelCounts(1, 2, 3), LabelCounts(10, 20, 30))
+
+    def test_merge_leaves_its_parts_unchanged(self):
+        part = evaluate([ent(0, 5)], [ent(0, 5)])
+        merged = merge_metrics([part, part])
+        assert merged.per_label["Drug"].tp == 2 and part.per_label["Drug"].tp == 1
+
     def test_merge_is_sum_then_score(self):
         part1 = evaluate([ent(0, 5)], [ent(0, 5)])  # p = 1
         part2 = evaluate([ent(0, 5), ent(9, 12)], [ent(0, 5)])  # p = 0.5

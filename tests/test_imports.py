@@ -162,6 +162,30 @@ def test_a_run_that_writes_no_trace_loads_no_provenance(tmp_path, extra):
     assert "annopipe.pipeline" in loaded and "annopipe.provenance" not in loaded
 
 
+# Fails a document whose run leaves uuid or platform loaded, in the process that ran it.
+NO_UUID = """
+import sys
+import annopipe.cli
+process = annopipe.cli._process
+def checked(doc):
+    result = process(doc)
+    assert not {"uuid", "_uuid", "platform"} & set(sys.modules), "uuid loaded"
+    return result
+annopipe.cli._process = checked
+"""
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_traced_run_loads_no_uuid(tmp_path, workers):
+    loaded = _loaded(
+        NO_UUID + CLI + '\nassert not {"uuid", "_uuid", "platform"} & set(sys.modules)',
+        "run", "--pipeline", demo.pipeline_path("drug_ner_dict"),
+        "--input-dir", demo.corpus_dir(), "--output-dir", tmp_path / "out",
+        "--prov-level", "full", "--prov-out", tmp_path / "prov.json", "--workers", workers,
+    )
+    assert (tmp_path / "prov.json").stat().st_size and "annopipe.provenance" in loaded
+
+
 @pytest.mark.parametrize("nested", [False, True])
 def test_run_pipeline_without_a_tracer_loads_no_provenance(nested):
     loaded = _loaded(f"""

@@ -135,6 +135,13 @@ MALFORMED_DOCJSON = {
         lambda obj: obj["annotations"].append(dict(obj["annotations"][0])),
         r"annotation 1: annotation \w+ already attached",
     ),
+    "relation naming no annotation": (
+        lambda obj: obj["annotations"].insert(0, {
+            "id": "r1", "label": "in", "kind": "relation",
+            "source_id": obj["annotations"][0]["id"], "target_id": "zz",
+        }),
+        "annotation 0: \"target_id\" names no annotation: 'zz'",
+    ),
 }
 
 
@@ -170,6 +177,15 @@ class TestDocumentJson:
         assert back.text == doc.text
         assert back.metadata == doc.metadata
         assert serialize_document_json(back) == serialize_document_json(doc)
+
+    def test_a_relation_may_come_before_what_it_names(self):
+        doc = self._sample()
+        obj = json.loads(serialize_document_json(doc))
+        obj["annotations"].insert(0, obj["annotations"].pop())
+        parsed = parse_document_json(json.dumps(obj))
+        assert [a.id for a in parsed.annotations] == [doc.annotations[-1].id] + [
+            a.id for a in doc.annotations[:-1]
+        ]
 
     def test_kinds_preserved(self):
         back = parse_document_json(serialize_document_json(self._sample()))

@@ -26,7 +26,12 @@ from annopipe.provenance import (
 )
 from annopipe.textops import DEFAULT_NEGATION_RULES
 
-from helpers import entity_fingerprint, expected_derivations, frozen_descendant_scopes
+from helpers import (
+    entity_fingerprint,
+    expected_derivations,
+    frozen_descendant_scopes,
+    reachable_from,
+)
 
 DEID_RULES = [
     {"pattern": r"\b\d{2}/\d{2}/\d{4}\b", "placeholder": "[DATE]"},
@@ -94,9 +99,9 @@ def _assert_records_match_oracle(plan, docs, level=VerbosityLevel.FULL):
     records = tracer._records
     assert [name for name, _ in expected] == [rec.op.name for rec in records]
     for (name, pairs), rec in zip(expected, records):
-        if pairs is None:
-            assert rec.derivations is None, name
-        elif pairs:
+        # An output without an id of its own is named by its position among the step's.
+        pairs = {(rec.outputs[o] if isinstance(o, int) else o, s) for o, s in pairs}
+        if pairs:
             assert len(rec.derivations) == len(pairs) and set(rec.derivations) == pairs, name
         else:  # the step made nothing; its stand-in derives from all it took
             assert rec.derivations == [(rec.outputs[0], s) for s in dict.fromkeys(rec.sources)]
@@ -125,6 +130,41 @@ class TestRecordedPairsMatchOracle:
         env = run_pipeline(_flat_plan(), {"doc": doc}, tracer=tracer)
         deid = next(rec for rec in tracer._records if rec.op.name == "deidentify")
         assert deid.sources == [s.id for s in env["sentences"]]
+
+
+def test_a_composite_derives_each_output_only_from_the_inputs_that_made_it():
+    """deidentify(sentences) -> clean, phi; emit_brat(doc, phi) -> brat, nested.
+
+    Each clean sentence derives from its sentence alone, never from the
+    document; the Brat text derives from the document and each sentence that
+    held a placeholder.
+    """
+    registry = default_registry().copy()
+    steps = [
+        PipelineStep("deidentify", {"rules": DEID_RULES}, ["sentences"], ["clean", "phi"]),
+        PipelineStep("emit_brat", {}, ["doc", "phi"], ["brat"]),
+    ]
+    sub = PipelineSpec("deid_brat", steps, ["doc", "sentences"], ["clean", "brat"])
+    name = as_operation(sub, registry)
+    outer = _spec("outer", [
+        _steps()["full_text"],
+        _steps()["sentences"],
+        PipelineStep(name, {}, ["doc", "sentences"], ["clean", "brat"]),
+    ])
+    doc = create_document("Vu le 12/03/2024. Pas de fièvre. Rappel au 06 12 34 56 78.")
+    tracer = Tracer(VerbosityLevel.FULL)
+    env = run_pipeline(compile_pipeline(outer, registry), {"doc": doc}, tracer=tracer)
+    graph = build_graph(tracer)
+    (scope,) = tracer._scopes
+    exposed = [out for out, act in graph.was_generated_by if act == scope]
+    clean = [s.id for s in env["clean"]]
+    (brat,) = set(exposed) - set(clean)
+    sentences = [s.id for s in env["sentences"]]
+    assert len(sentences) == 3
+    assert env["brat"] == "T1\tDATE 6 16\t12/03/2024\nT2\tPHONE 43 57\t06 12 34 56 78\n"
+    got = {pair for pair in graph.was_derived_from if pair[0] in exposed}
+    brat_sources = [doc.id, sentences[0], sentences[2]]  # the sentences holding a placeholder
+    assert got == {*zip(clean, sentences), *((brat, src) for src in brat_sources)}
 
 
 def _shape(value):
@@ -224,17 +264,6 @@ def traces_with_pairs(draw, level):
     return tracer
 
 
-def _reachable(records, start) -> set:
-    """Items the pairs of ``records`` lead back to from ``start``, by fixpoint."""
-    parents = {(out, src) for rec in records for out, src in rec.derivations}
-    reached = {src for out, src in parents if out == start}
-    while True:
-        more = {src for out, src in parents if out in reached} - reached
-        if not more:
-            return reached
-        reached |= more
-
-
 def _composites(graph):
     """(composite id, its level's graph) for every composite at every level."""
     for act_id, act in graph.activities.items():
@@ -258,19 +287,29 @@ class TestCompositeLineage:
             members = frozen_descendant_scopes(tracer, key)
             records = [rec for rec in tracer._records if rec.scope in members]
             made = {out for rec in records for out in rec.outputs}
+            pairs = {pair for rec in records for pair in rec.derivations}
             exposed = [out for out, act in level_graph.was_generated_by if act == key]
-            expected = {
-                (out, src) for out in exposed for src in _reachable(records, out) if src not in made
-            }
+            expected = {(out, src) for out in exposed for src in reachable_from(pairs, out) - made}
             got = [(out, src) for out, src in level_graph.was_derived_from if out in set(exposed)]
             assert len(got) == len(set(got))
             assert set(got) == expected
 
-    def test_one_pairless_record_keeps_the_cross_product(self):
+    def test_a_pairless_record_leads_each_output_back_through_each_source(self):
         tracer = Tracer(VerbosityLevel.STEPS)
         scope = tracer.open_scope(OperationDescriptor("sub"))
         pairs = [("s1", "d1"), ("s2", "d2")]
         tracer.record(OperationDescriptor("a"), ["d1", "d2"], ["s1", "s2"], scope, pairs)
         tracer.record(OperationDescriptor("b"), ["s1", "s2"], ["e1", "e2"], scope)
+        cross = [("e1", "s1"), ("e1", "s2"), ("e2", "s1"), ("e2", "s2")]
+        assert tracer._records[1].derivations == cross
         graph = build_graph(tracer)
-        assert graph.was_derived_from == [("e1", "d1"), ("e1", "d2"), ("e2", "d1"), ("e2", "d2")]
+        assert graph.was_derived_from == [("e1", "d2"), ("e1", "d1"), ("e2", "d2"), ("e2", "d1")]
+
+    def test_a_pairless_record_adds_no_edge_its_sources_do_not_lead_to(self):
+        tracer = Tracer(VerbosityLevel.STEPS)
+        scope = tracer.open_scope(OperationDescriptor("sub"))
+        pairs = [("s1", "d1"), ("s2", "d2")]
+        tracer.record(OperationDescriptor("a"), ["d1", "d2"], ["s1", "s2"], scope, pairs)
+        tracer.record(OperationDescriptor("b"), ["s1"], ["e1"], scope)
+        graph = build_graph(tracer)
+        assert graph.was_derived_from == [("s2", "d2"), ("e1", "d1")]

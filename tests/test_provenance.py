@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 from unittest import mock
@@ -18,7 +19,13 @@ from annopipe.provenance import (
     parse_prov_json,
 )
 
-from helpers import frozen_build_graph, frozen_export_prov, frozen_parse_prov_json
+from helpers import (
+    frozen_build_graph,
+    frozen_descendant_scopes,
+    frozen_export_prov,
+    frozen_parse_prov_json,
+    reachable_from,
+)
 
 
 def _op(name):
@@ -41,6 +48,11 @@ class TestTracer:
         tracer = Tracer(VerbosityLevel.NONE)
         tracer.record(_op("x"), ["a"], ["b"])
         assert tracer.records == []
+
+    def test_a_record_without_pairs_holds_every_output_with_every_source(self):
+        tracer = Tracer()
+        tracer.record(_op("x"), ["a", "b", "a"], ["c", "d", "c"])
+        assert tracer._records[0].derivations == [("c", "a"), ("c", "b"), ("d", "a"), ("d", "b")]
 
     def test_self_derivation_rejected(self):
         tracer = Tracer()
@@ -329,11 +341,47 @@ def nested_traces(draw, level):
 def _build_with_counted_ids(builder, tracer):
     """Build with activity ids drawn from a counter, so builds compare by position."""
     counter = itertools.count()
-    with mock.patch("uuid.uuid4", lambda: f"act{next(counter)}"):
+
+    def count():
+        return f"act{next(counter)}"
+
+    with mock.patch("uuid.uuid4", count), mock.patch("annopipe.provenance.new_id", count):
         try:
             return builder(tracer)
         except CycleDetectedError:
             return CycleDetectedError
+
+
+def _with_composite_lineage(frozen, graph, tracer):
+    """``frozen`` with each composite's wasDerivedFrom edges taken from ``graph``.
+
+    The frozen builder derives each exposed output of a composite from every
+    outside source. Those edges of ``graph`` must instead be the exposed
+    outputs with the outside sources that its member records lead back to,
+    each output deriving from each source of its record: a subset of the
+    frozen edges, in any order. Every other edge stays the frozen builder's.
+    """
+    derived, at = [], 0
+    for act_id, act in frozen.activities.items():
+        outs = [out for out, a in frozen.was_generated_by if a == act_id]
+        n = len(outs) * sum(a == act_id for a, _ in frozen.used)
+        block, at = frozen.was_derived_from[at:at + n], at + n
+        if act.composite:
+            members = frozen_descendant_scopes(tracer, act_id)
+            records = [rec for rec in tracer._records if rec.scope in members]
+            made = {out for rec in records for out in rec.outputs}
+            pairs = {(out, src) for rec in records for out in rec.outputs for src in rec.sources}
+            expected = {(out, src) for out in outs for src in reachable_from(pairs, out) - made}
+            assert expected <= set(block)
+            block = graph.was_derived_from[len(derived):len(derived) + len(expected)]
+            assert len(block) == len(set(block)) and set(block) == expected
+        derived += block
+    assert at == len(frozen.was_derived_from)
+    subs = {
+        act_id: _with_composite_lineage(sub, graph.sub_graphs.get(act_id, ProvGraph()), tracer)
+        for act_id, sub in frozen.sub_graphs.items()
+    }
+    return dataclasses.replace(frozen, was_derived_from=derived, sub_graphs=subs)
 
 
 class TestBuilderMatchesFrozen:
@@ -342,11 +390,12 @@ class TestBuilderMatchesFrozen:
     @given(data=st.data())
     def test_same_graph_as_frozen_builder(self, level, data):
         tracer = data.draw(nested_traces(level))
-        expected = _build_with_counted_ids(frozen_build_graph, tracer)
+        frozen = _build_with_counted_ids(frozen_build_graph, tracer)
         graph = _build_with_counted_ids(build_graph, tracer)
-        if expected is CycleDetectedError:
+        if frozen is CycleDetectedError:
             assert graph is CycleDetectedError
             return
+        expected = _with_composite_lineage(frozen, graph, tracer)
         assert list(graph.activities.items()) == list(expected.activities.items())
         assert graph == expected
         assert export_prov(graph) == export_prov(expected)
