@@ -26,8 +26,6 @@ if TYPE_CHECKING:
     from .evaluation import MatchSpec
     from .pipeline import Plan
 
-OUTPUT_EXTENSIONS = {"brat": ".ann", "doccano": ".jsonl", "json": ".json"}
-
 
 def _load_pipeline(path: str) -> Plan:
     """Read a pipeline config taking one document, and compile it."""
@@ -47,44 +45,8 @@ def _load_pipeline(path: str) -> Plan:
 def _collect_annotations(outputs: dict) -> tuple[list[Annotation], list[str]]:
     from .core import Annotation
 
-    annotations: list[Annotation] = []
-    texts: list[str] = []
-    for value in outputs.values():
-        items = value if isinstance(value, list) else [value]
-        for item in items:
-            if isinstance(item, Annotation):
-                annotations.append(item)
-            elif isinstance(item, str):
-                texts.append(item)
-    return annotations, texts
-
-
-def _emitter(fmt: str):
-    """``emit(doc, annotations, emitted)``, one document's payload in ``fmt``, a key
-    of OUTPUT_EXTENSIONS, where ``emitted`` holds the Brat texts a pipeline made.
-    Only the format's own module is imported."""
-    if fmt == "brat":
-        from .io.brat import emit_brat
-
-        return lambda doc, annotations, emitted: emitted[0] if emitted else emit_brat(
-            doc, annotations
-        )
-    if fmt == "doccano":
-        from .core import Entity
-        from .io.doccano import emit_doccano_jsonl
-
-        return lambda doc, annotations, emitted: emit_doccano_jsonl(
-            doc, [a for a in annotations if isinstance(a, Entity)]
-        ) + "\n"
-    from .io.docjson import serialize_document_json
-
-    def emit_json(doc, annotations, emitted):
-        for ann in annotations:
-            if doc.get_annotation(ann.id) is None:
-                doc.attach(ann)
-        return serialize_document_json(doc)
-
-    return emit_json
+    items = [i for v in outputs.values() for i in (v if isinstance(v, list) else [v])]
+    return [i for i in items if isinstance(i, Annotation)], [i for i in items if isinstance(i, str)]
 
 
 # (plan, input key, emitter, level) of the run, the level None when the run
@@ -115,7 +77,7 @@ def cmd_run(args) -> int:
     global _RUN
     # What _process runs is imported before any worker forks, so that no
     # worker compiles a module: the plan's modules by _load_pipeline, the
-    # writer by _emitter and, for a run that writes a trace, provenance here.
+    # writer by writer() and, for a run that writes a trace, provenance here.
     from .io.textdir import load_text_documents
 
     plan = _load_pipeline(args.pipeline)
@@ -136,8 +98,8 @@ def cmd_run(args) -> int:
     # run up front rather than after every output is written.
     prov_out = open(args.prov_out, "w", encoding="utf-8") if args.prov_out else None
 
-    extension = OUTPUT_EXTENSIONS[args.output_format]
-    _RUN = (plan, plan.spec.pipeline_inputs[0], _emitter(args.output_format), level)
+    extension, _, _, writer = FORMATS[args.output_format]
+    _RUN = (plan, plan.spec.pipeline_inputs[0], writer(), level)
     workers = min(args.workers, len(docs))
     failures = []
     names = [doc.metadata.get("filename", doc.id) for doc in docs]
@@ -200,56 +162,94 @@ def _parse(path, parse, *args):
     return _named(path, parse, read_utf8(path), *args)
 
 
-def _load_corpus(fmt: str, path: str) -> list[tuple[str, Document]]:
-    """(stem, document) pairs with annotations attached; fmt is brat, doccano or json."""
-    if fmt in ("brat", "json"):
-        path = _directory(path)
-    if fmt == "brat":
-        from .io.brat import parse_brat
-        from .io.textdir import load_text_documents
+def _read_brat(path: str) -> list[tuple[str, Document]]:
+    from .io.brat import parse_brat
+    from .io.textdir import load_text_documents
 
-        pairs = []
-        for txt in sorted(path.glob("*.txt")):
-            doc = load_text_documents(txt)[0]
-            ann_file = txt.with_suffix(".ann")
-            if ann_file.exists():
-                for ann in _parse(ann_file, parse_brat, doc.text):
-                    doc.attach(ann)
-            pairs.append((txt.stem, doc))
-        return pairs
-    if fmt == "doccano":
-        from .io.doccano import parse_doccano_jsonl
-        from .io.textdir import read_utf8
+    pairs = []
+    for txt in sorted(_directory(path).glob("*.txt")):
+        doc = load_text_documents(txt)[0]
+        ann_file = txt.with_suffix(".ann")
+        for ann in _parse(ann_file, parse_brat, doc.text) if ann_file.exists() else ():
+            doc.attach(ann)
+        pairs.append((txt.stem, doc))
+    return pairs
 
-        pairs = []
-        lines = read_utf8(path).splitlines()
-        for line_no, line in enumerate(lines, 1):
-            if not line.strip():
-                continue
-            doc, _ = _named(f"{path}, line {line_no}", parse_doccano_jsonl, line)
-            pairs.append((f"doc_{len(pairs) + 1:04d}", doc))
-        return pairs
+
+def _read_doccano(path: str) -> list[tuple[str, Document]]:
+    from .io.doccano import parse_doccano_jsonl
+    from .io.textdir import read_utf8
+
+    lines = [(n, line) for n, line in enumerate(read_utf8(path).splitlines(), 1) if line.strip()]
+    return [
+        (f"doc_{index:04d}", _named(f"{path}, line {n}", parse_doccano_jsonl, line)[0])
+        for index, (n, line) in enumerate(lines, 1)
+    ]
+
+
+def _read_json(path: str) -> list[tuple[str, Document]]:
     from .io.docjson import parse_document_json
 
-    files = sorted(path.glob("*.json"))
+    files = sorted(_directory(path).glob("*.json"))
     return [(file.stem, _parse(file, parse_document_json)) for file in files]
 
 
+def _brat_writer():
+    from .io.brat import emit_brat
+
+    return lambda doc, annotations, emitted: emitted[0] if emitted else emit_brat(doc, annotations)
+
+
+def _doccano_writer():
+    from .io.doccano import emit_doccano_jsonl
+
+    return lambda doc, annotations, emitted: emit_doccano_jsonl(doc, annotations) + "\n"
+
+
+def _json_writer():
+    from .io.docjson import serialize_document_json
+
+    def emit(doc, annotations, emitted):
+        for ann in annotations:
+            if doc.get_annotation(ann.id) is None:
+                doc.attach(ann)
+        return serialize_document_json(doc)
+
+    return emit
+
+
+# Each format: (extension, layout, read, writer). In convert, a corpus is a file per
+# document in a directory ("files"), the same with each text in a .txt beside
+# ("standoff"), or one JSONL file, a line per document ("lines"). read(path) gives
+# its (stem, document) pairs; writer() gives emit(doc, annotations, emitted), one
+# document's payload, emitted holding a pipeline's Brat texts. Each imports its module.
+FORMATS = {
+    "brat": (".ann", "standoff", _read_brat, _brat_writer),
+    "doccano": (".jsonl", "lines", _read_doccano, _doccano_writer),
+    "json": (".json", "files", _read_json, _json_writer),
+}
+
+
+def _load_corpus(fmt: str, path: str) -> list[tuple[str, Document]]:
+    _, _, read, _ = FORMATS[fmt]
+    return read(path)
+
+
 def _write_corpus(fmt: str, path: str, pairs: list[tuple[str, Document]]) -> None:
-    # Built before the first write, so a document that cannot be emitted
-    # leaves nothing written.
-    emit = _emitter(fmt)
+    extension, layout, _, writer = FORMATS[fmt]
+    # Every payload is built before the first write: a refused document leaves nothing written.
+    emit = writer()
     payloads = [(stem, doc, _named(stem, emit, doc, doc.annotations, [])) for stem, doc in pairs]
     path = Path(path)
-    if fmt == "doccano":
+    if layout == "lines":
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text("".join(payload for _, _, payload in payloads), encoding="utf-8")
         return
     path.mkdir(parents=True, exist_ok=True)
     for stem, doc, payload in payloads:
-        if fmt == "brat":
+        if layout == "standoff":
             (path / f"{stem}.txt").write_text(doc.text, encoding="utf-8")
-        (path / f"{stem}{OUTPUT_EXTENSIONS[fmt]}").write_text(payload, encoding="utf-8")
+        (path / f"{stem}{extension}").write_text(payload, encoding="utf-8")
 
 
 def cmd_convert(args) -> int:
@@ -331,15 +331,15 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--pipeline", required=True)
     run.add_argument("--input-dir", required=True)
     run.add_argument("--output-dir", required=True)
-    run.add_argument("--output-format", default="brat", choices=sorted(OUTPUT_EXTENSIONS))
+    run.add_argument("--output-format", default="brat", choices=sorted(FORMATS))
     run.add_argument("--prov-level", default="none", choices=["none", "steps", "full"])
     run.add_argument("--prov-out", default=None)
     run.add_argument("--workers", type=int, default=1)
     run.set_defaults(func=cmd_run)
 
     convert = sub.add_parser("convert", help="convert between annotation formats")
-    convert.add_argument("--in-format", required=True, choices=sorted(OUTPUT_EXTENSIONS))
-    convert.add_argument("--out-format", required=True, choices=sorted(OUTPUT_EXTENSIONS))
+    convert.add_argument("--in-format", required=True, choices=sorted(FORMATS))
+    convert.add_argument("--out-format", required=True, choices=sorted(FORMATS))
     convert.add_argument("--in", dest="in_path", required=True)
     convert.add_argument("--out", dest="out_path", required=True)
     convert.set_defaults(func=cmd_convert)

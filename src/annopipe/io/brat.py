@@ -9,7 +9,8 @@ Lines with other sigils (N, E, #, *) are skipped with a warning. Ids are
 scoped per file; emission renumbers T/A/R sequentially in attachment order.
 Emission writes each annotation on one line that the parser reads back: a
 line break inside an entity ends a fragment, and an annotation that no such
-line can hold raises ConfigError.
+line can hold, or a relation to an annotation that is not written as a T
+line, raises ConfigError.
 """
 
 from __future__ import annotations
@@ -157,15 +158,12 @@ def emit_brat(doc, annotations: list[Annotation]) -> str:
     their normalized chains, cut at each line break, which is dropped;
     attributes and relations follow. Raises EmptyProjectionError for a
     segment that projects to no original character but line breaks, and
-    ConfigError for an annotation one Brat line cannot hold.
+    ConfigError for an annotation one Brat line cannot hold and for a
+    relation whose source or target is not among the segments written.
     """
-    t_lines = []
-    a_lines = []
-    r_lines = []
+    lines = []
     tid_by_ann_id: dict[str, str] = {}
     segments = [a for a in annotations if isinstance(a, Segment)]
-    relations = [a for a in annotations if isinstance(a, Relation)]
-
     for i, seg in enumerate(segments, 1):
         fragments = [
             m.span() for s in normalize_spans(seg.spans)
@@ -179,29 +177,22 @@ def emit_brat(doc, annotations: list[Annotation]) -> str:
         tid_by_ann_id[seg.id] = tid
         frag_field = ";".join(f"{start} {end}" for start, end in fragments)
         surface = DISCONTINUOUS_SEP.join(doc.text[start:end] for start, end in fragments)
-        t_lines.append(_one_line(_T_RE, f"{tid}\t{seg.label} {frag_field}\t{surface}", seg.id))
+        lines.append(_one_line(_T_RE, f"{tid}\t{seg.label} {frag_field}\t{surface}", seg.id))
 
-    attr_num = 1
-    for seg in segments:
-        for attr in seg.attributes:
-            if attr.value is False or attr.value is None:
-                continue
-            value = "" if attr.value is True else f" {attr.value}"
-            line = f"A{attr_num}\t{attr.label} {tid_by_ann_id[seg.id]}{value}"
-            a_lines.append(_one_line(_A_RE, line, seg.id))
-            attr_num += 1
+    written = [
+        (seg, attr) for seg in segments for attr in seg.attributes
+        if attr.value is not False and attr.value is not None
+    ]
+    for num, (seg, attr) in enumerate(written, 1):
+        value = "" if attr.value is True else f" {attr.value}"
+        line = f"A{num}\t{attr.label} {tid_by_ann_id[seg.id]}{value}"
+        lines.append(_one_line(_A_RE, line, seg.id))
 
-    rel_num = 1
-    for rel in relations:
-        arg1 = tid_by_ann_id.get(rel.source_id)
-        arg2 = tid_by_ann_id.get(rel.target_id)
-        if arg1 is None or arg2 is None:
-            _logger(__name__).warning(
-                "relation %s references an unexported entity; skipped", rel.id
-            )
-            continue
-        r_lines.append(_one_line(_R_RE, f"R{rel_num}\t{rel.label} Arg1:{arg1} Arg2:{arg2}", rel.id))
-        rel_num += 1
+    for num, rel in enumerate((a for a in annotations if isinstance(a, Relation)), 1):
+        for end in (rel.source_id, rel.target_id):
+            if end not in tid_by_ann_id:
+                raise ConfigError(f"annotation {rel.id}: relation argument {end} is not written")
+        arg1, arg2 = tid_by_ann_id[rel.source_id], tid_by_ann_id[rel.target_id]
+        lines.append(_one_line(_R_RE, f"R{num}\t{rel.label} Arg1:{arg1} Arg2:{arg2}", rel.id))
 
-    lines = t_lines + a_lines + r_lines
     return "".join(line + "\n" for line in lines)

@@ -1,17 +1,18 @@
 """Doccano sequence-labeling JSONL: one JSON object per line.
 
-Layout: {"text": "...", "label": [[start, end, "Label"], ...]}. The format
-cannot express discontinuous spans; on export only the first merged fragment
-is written and a warning is logged.
+Layout: {"text": "...", "label": [[start, end, "Label"], ...]}. A label is one
+continuous range, so the writer refuses an entity whose chain projects to
+more than one raw range, or to none. Attributes, relations and segments that
+are not entities have no place in the format and are not written.
 """
 
 from __future__ import annotations
 
 import json
 
-from . import _logger
-from ..core import Document, Entity, create_document
-from ..exceptions import MalformedJsonError, OutOfBoundsError, expect_json
+from ..core import Annotation, Document, Entity, create_document
+from ..exceptions import ConfigError, EmptyProjectionError, MalformedJsonError
+from ..exceptions import OutOfBoundsError, expect_json
 from ..spans import Span
 
 
@@ -41,17 +42,16 @@ def parse_doccano_jsonl(line: str) -> tuple[Document, list[Entity]]:
     return doc, entities
 
 
-def emit_doccano_jsonl(doc: Document, entities: list[Entity]) -> str:
-    """One JSONL line for a document; lossy on discontinuous entities."""
+def emit_doccano_jsonl(doc: Document, annotations: list[Annotation]) -> str:
+    """One JSONL line for a document, one label for each entity among
+    ``annotations``. An entity must project to exactly one original span:
+    EmptyProjectionError for none, ConfigError for more."""
     labels = []
-    for entity in entities:
+    for entity in (a for a in annotations if isinstance(a, Entity)):
         fragments = entity.normalized_spans()
-        if not fragments:
-            _logger(__name__).warning("entity %s projects to nothing; skipped", entity.id)
-            continue
-        if len(fragments) > 1:
-            _logger(__name__).warning(
-                "entity %s is discontinuous; exporting first fragment only", entity.id
-            )
+        if len(fragments) != 1:
+            error = ConfigError if fragments else EmptyProjectionError
+            raise error(f"annotation {entity.id} ({entity.label}) projects to "
+                        f"{len(fragments)} original spans; a doccano label holds 1")
         labels.append([fragments[0].start, fragments[0].end, entity.label])
     return json.dumps({"text": doc.text, "label": labels}, ensure_ascii=False)

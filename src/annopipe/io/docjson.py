@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 
 from ..core import Annotation, Attribute, Document, Entity, Relation, Segment
-from ..exceptions import JSON_SCALAR, AnnopipeError, MalformedJsonError, expect_json
+from ..exceptions import JSON_SCALAR, AnnopipeError, ConfigError, MalformedJsonError, expect_json
 from ..spans import AnySpan, ModifiedSpan, Span
 
 
@@ -96,6 +96,12 @@ def _ann_from_obj(obj, raw: str) -> Annotation:
 
 
 def serialize_document_json(doc: Document) -> str:
+    """``doc`` as native JSON; ConfigError, as parse_document_json would not
+    read it back, for a relation naming an annotation ``doc`` does not hold."""
+    for ann in doc.annotations:
+        for key in ("source_id", "target_id") if isinstance(ann, Relation) else ():
+            if doc.get_annotation(named := getattr(ann, key)) is None:
+                raise ConfigError(f'annotation {ann.id}: "{key}" names no annotation: {named!r}')
     obj = {
         "id": doc.id,
         "text": doc.text,

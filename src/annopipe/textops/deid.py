@@ -48,10 +48,11 @@ def deidentify(seg: Segment, rules: list[DeidRule]) -> tuple[Segment, list[Entit
         ent_text, ent_spans = extract(seg.text, seg.spans, [(start, end)])
         entities.append(Entity(label=rule.label, text=ent_text, spans=ent_spans))
 
-    ranges = [(s, e) for s, e, _ in selected]
-    placeholders = [rule.placeholder for _, _, rule in selected]
-    new_text, new_spans = replace(seg.text, seg.spans, ranges, placeholders)
-    new_seg = Segment(
-        label=seg.label, text=new_text, spans=new_spans, metadata=dict(seg.metadata)
-    )
+    if selected:
+        ranges = [(s, e) for s, e, _ in selected]
+        placeholders = [rule.placeholder for _, _, rule in selected]
+        new_text, new_spans = replace(seg.text, seg.spans, ranges, placeholders)
+    else:  # nothing to replace: the chain is kept, in a list of the new segment's own
+        new_text, new_spans = seg.text, list(seg.spans)
+    new_seg = Segment(label=seg.label, text=new_text, spans=new_spans, metadata=dict(seg.metadata))
     return new_seg, entities

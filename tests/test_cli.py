@@ -13,8 +13,13 @@ import pytest
 
 from annopipe import cli, demo, provenance
 from annopipe.cli import main
-from annopipe.core import Entity, create_document, full_text_segment
-from annopipe.exceptions import MalformedJsonError, MalformedLineError, SurfaceMismatchError
+from annopipe.core import (
+    Annotation, Document, Entity, Relation, create_document, full_text_segment,
+)
+from annopipe.exceptions import (
+    ConfigError, MalformedJsonError, MalformedLineError, SurfaceMismatchError,
+)
+from annopipe.io.brat import parse_brat
 from annopipe.io.docjson import serialize_document_json
 from annopipe.io.textdir import load_text_documents
 from annopipe.pipeline import PipelineSpec, as_operation, default_registry, run_pipeline
@@ -433,7 +438,7 @@ def _ids_in_order(text):
     return re.sub(r"\b[0-9a-f]{32}\b", lambda m: f"id{seen.setdefault(m[0], len(seen))}", text)
 
 
-@pytest.mark.parametrize("fmt", sorted(cli.OUTPUT_EXTENSIONS))
+@pytest.mark.parametrize("fmt", sorted(cli.FORMATS))
 def test_two_workers_write_the_files_of_one(tmp_path, corpus, fmt):
     written = []
     pipeline = demo.pipeline_path("drug_ner_dict")
@@ -597,14 +602,16 @@ class TestConvert:
             txt = ann.with_suffix(".txt")
             assert (back_dir / txt.name).read_bytes() == txt.read_bytes()
 
-    def test_brat_to_doccano(self, tmp_path):
+    def test_brat_to_doccano(self, tmp_path, corpus):
+        for ann in demo.reference_dir().glob("*.ann"):
+            shutil.copy(ann, corpus / ann.name)
         out = tmp_path / "corpus.jsonl"
         assert run_cli(
             "convert", "--in-format", "brat", "--out-format", "doccano",
-            "--in", FIXTURES / "good", "--out", out,
+            "--in", corpus, "--out", out,
         ) == 0
         lines = out.read_text(encoding="utf-8").splitlines()
-        assert len(lines) == 30
+        assert len(lines) == len(list(corpus.glob("*.txt")))
         first = json.loads(lines[0])
         assert first["text"] and first["label"]
 
@@ -1074,13 +1081,28 @@ def brat_corpora(tmp_path_factory):
     return [cli._load_corpus("brat", path) for path in (FIXTURES / "good", demo_dir)]
 
 
+def _discontinuous(pairs):
+    """Stems of the documents holding an entity with more than one raw range."""
+    return [stem for stem, doc in pairs if any(
+        isinstance(a, Entity) and len(a.normalized_spans()) > 1 for a in doc.annotations
+    )]
+
+
 @pytest.mark.parametrize("fmt", ["brat", "json", "doccano"])
 def test_write_corpus_matches_the_frozen_writer(tmp_path, brat_corpora, fmt):
+    # The frozen writer kept the first range of a discontinuous entity in
+    # doccano; the writer refuses the corpus, naming the first such document.
+    assert _discontinuous(brat_corpora[0]) and not _discontinuous(brat_corpora[1])
     for index, pairs in enumerate(brat_corpora):
         assert any(doc.annotations for _, doc in pairs)
         new, old = tmp_path / "new" / str(index), tmp_path / "old" / str(index)
         if fmt == "doccano":
             new, old = new / "corpus.jsonl", old / "corpus.jsonl"
+            if _discontinuous(pairs):
+                with pytest.raises(ConfigError, match=f"^{_discontinuous(pairs)[0]}: annotation "):
+                    cli._write_corpus(fmt, new, pairs)
+                assert not (tmp_path / "new").exists()
+                continue
         cli._write_corpus(fmt, new, pairs)
         frozen_write_corpus(fmt, old, pairs)
     written = {p.relative_to(tmp_path / "old"): p.read_bytes()
@@ -1103,6 +1125,73 @@ def test_convert_that_cannot_emit_a_document_writes_nothing(tmp_path, capsys):
     )
     assert code == 2
     _single_error_line(capsys)
+    assert not (tmp_path / "out").exists()
+
+
+# A date in two raw ranges: Brat holds it, a doccano label holds one range.
+PROBE_TEXT, PROBE_ANN = "Vu le 12 , mars 1980.", "T1\tdate 6 8;11 20\t12 mars 1980\n"
+
+
+def _probe_corpus(tmp_path, with_ann):
+    src = tmp_path / "in"
+    src.mkdir()
+    (src / "a.txt").write_text(PROBE_TEXT, encoding="utf-8")
+    if with_ann:
+        (src / "a.ann").write_text(PROBE_ANN, encoding="utf-8")
+    (src / "b.txt").write_text("Prise d'aspirine le 2 mars.", encoding="utf-8")
+    return src
+
+
+def test_convert_to_doccano_refuses_a_discontinuous_entity_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "out.jsonl"
+    code = run_cli(
+        "convert", "--in-format", "brat", "--out-format", "doccano",
+        "--in", _probe_corpus(tmp_path, True), "--out", out,
+    )
+    assert code == 2
+    line = _single_error_line(capsys)
+    assert line.startswith("error: a: annotation ") and "(date) projects to 2 original spans" in line
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_fails_only_the_document_its_format_cannot_hold(tmp_path, monkeypatch, capsys, workers):
+    registry = default_registry()
+    monkeypatch.setattr(registry, "_ops", dict(registry._ops))
+
+    def probe_date(params):  # the probe's date, in the document that holds it
+        return lambda doc: parse_brat(PROBE_ANN, doc.text) if doc.text == PROBE_TEXT else []
+
+    registry.register("probe_date", probe_date, (Document,), ([Entity],))
+    spec = {"name": "probe", "inputs": ["doc"], "outputs": ["dates"],
+            "steps": [_step("probe_date", ["doc"], ["dates"])]}
+    pipeline = tmp_path / "probe.json"
+    pipeline.write_text(json.dumps(spec), encoding="utf-8")
+    corpus = _probe_corpus(tmp_path, False)
+    for fmt, code, written in (("brat", 0, ["a.ann", "b.ann"]), ("doccano", 1, ["b.jsonl"])):
+        out = tmp_path / fmt
+        assert _run_at(workers, pipeline, corpus, out, "--output-format", fmt) == code
+        assert sorted(p.name for p in out.iterdir()) == written
+    assert (tmp_path / "brat" / "a.ann").read_text(encoding="utf-8") == PROBE_ANN
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("failed: a.txt: annotation ")
+
+
+def test_convert_to_brat_refuses_a_relation_to_a_plain_annotation(tmp_path, capsys):
+    src = tmp_path / "in"
+    src.mkdir()
+    doc = create_document("abc")
+    drug, note = Entity(label="Drug", text="abc", spans=[Span(0, 3)]), Annotation(label="note")
+    rel = Relation(label="noted", source_id=drug.id, target_id=note.id)
+    doc.attach(drug).attach(note).attach(rel)
+    (src / "doc.json").write_text(serialize_document_json(doc), encoding="utf-8")
+    code = run_cli(
+        "convert", "--in-format", "json", "--out-format", "brat",
+        "--in", src, "--out", tmp_path / "out",
+    )
+    assert code == 2
+    line = _single_error_line(capsys)
+    assert line == f"error: doc: annotation {rel.id}: relation argument {note.id} is not written"
     assert not (tmp_path / "out").exists()
 
 

@@ -109,6 +109,22 @@ def test_brat_run_loads_only_the_modules_its_steps_name(tmp_path):
     assert not loaded & unwanted
 
 
+def test_convert_loads_only_the_reader_and_writer_of_its_two_formats(tmp_path):
+    (tmp_path / "in").mkdir()
+    (tmp_path / "in" / "a.txt").write_text("Prise d'aspirine.", encoding="utf-8")
+    (tmp_path / "in" / "a.ann").write_text("T1\tDrug 8 16\taspirine\n", encoding="utf-8")
+    loaded = _loaded(
+        CLI + "\nassert 'logging' not in sys.modules",
+        "convert", "--in-format", "brat", "--out-format", "doccano",
+        "--in", tmp_path / "in", "--out", tmp_path / "out.jsonl",
+    )
+    assert '[[8, 16, "Drug"]]' in (tmp_path / "out.jsonl").read_text(encoding="utf-8")
+    assert {"annopipe.io.brat", "annopipe.io.doccano"} <= loaded
+    unwanted = {"annopipe.io.docjson", "annopipe.pipeline", "annopipe.provenance"}
+    assert not loaded & unwanted
+    assert not [m for m in loaded if m.startswith("annopipe.textops")]
+
+
 @pytest.mark.parametrize("traced", [False, True])
 def test_a_forked_run_imports_what_its_workers_run_before_the_pool(tmp_path, traced):
     # Prints the annopipe modules loaded when the run creates its pool, flushed

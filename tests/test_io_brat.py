@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from annopipe.core import Attribute, Entity, Relation, create_document, full_text_segment
+from annopipe.core import (
+    Annotation, Attribute, Entity, Relation, create_document, full_text_segment,
+)
 from annopipe.exceptions import (
     ConfigError,
     EmptyProjectionError,
@@ -184,6 +186,21 @@ class TestEmitOneLinePerAnnotation:
         named = rel.id if relation_label == "comes after" else first.id
         with pytest.raises(ConfigError, match=named):
             emit_brat(doc, [first, second, rel])
+
+
+@pytest.mark.parametrize("end", ["plain annotation", "entity not passed", "unknown id"])
+def test_relation_to_what_is_not_written_is_refused_by_name(end):
+    doc = create_document("abc def")
+    first = Entity(label="Drug", text="abc", spans=[Span(0, 3)])
+    other = {
+        "plain annotation": Annotation(label="note"),
+        "entity not passed": Entity(label="Drug", text="def", spans=[Span(4, 7)]),
+        "unknown id": None,
+    }[end]
+    rel = Relation(label="after", source_id=first.id, target_id=other.id if other else "zz")
+    passed = [first, rel] + ([other] if end == "plain annotation" else [])
+    with pytest.raises(ConfigError, match=f"annotation {rel.id}: relation argument "):
+        emit_brat(doc, passed)
 
 
 # Documents with line ends of both kinds, tabs and astral characters.

@@ -3,7 +3,9 @@ import json
 import pytest
 
 from annopipe.core import Attribute, Entity, Relation, Segment, create_document
-from annopipe.exceptions import DecodeError, MalformedJsonError, OutOfBoundsError
+from annopipe.exceptions import (
+    ConfigError, DecodeError, EmptyProjectionError, MalformedJsonError, OutOfBoundsError,
+)
 from annopipe.io.doccano import emit_doccano_jsonl, parse_doccano_jsonl
 from annopipe.io.docjson import parse_document_json, serialize_document_json
 from annopipe.io.textdir import load_text_documents
@@ -37,15 +39,30 @@ class TestDoccano:
         doc, entities = parse_doccano_jsonl(line)
         assert json.loads(emit_doccano_jsonl(doc, entities)) == json.loads(line)
 
-    def test_discontinuous_keeps_first_fragment(self, caplog):
+    def test_discontinuous_entity_is_refused_by_name(self):
         doc = create_document("Douleur forte du genou")
         ent = Entity(
             label="S",
             text="Douleur genou",
             spans=[Span(0, 7), ModifiedSpan(1), Span(17, 22)],
         )
-        obj = json.loads(emit_doccano_jsonl(doc, [ent]))
-        assert obj["label"] == [[0, 7, "S"]]
+        with pytest.raises(ConfigError, match=f"annotation {ent.id} .*2 original spans"):
+            emit_doccano_jsonl(doc, [ent])
+
+    def test_entity_projecting_to_nothing_is_refused_by_name(self):
+        doc = create_document("abc")
+        ent = Entity(label="S", text="xyz", spans=[ModifiedSpan(3)])
+        with pytest.raises(EmptyProjectionError, match=ent.id):
+            emit_doccano_jsonl(doc, [ent])
+
+    def test_what_doccano_cannot_hold_is_left_out(self):
+        doc = create_document("aspirine 500")
+        ent = Entity(label="Drug", text="aspirine", spans=[Span(0, 8)],
+                     attributes=[Attribute(label="is_negated", value=True)])
+        sentence = Segment(label="sentence", text="aspirine 500", spans=[Span(0, 12)])
+        rel = Relation(label="in", source_id=ent.id, target_id=sentence.id)
+        line = emit_doccano_jsonl(doc, [sentence, ent, rel])
+        assert json.loads(line) == {"text": "aspirine 500", "label": [[0, 8, "Drug"]]}
 
 
 MALFORMED_DOCCANO = {
@@ -200,6 +217,14 @@ class TestDocumentJson:
     def test_rejects_bad_json(self):
         with pytest.raises(MalformedJsonError):
             parse_document_json("nope")
+
+    def test_writer_refuses_a_relation_naming_no_annotation_of_the_document(self):
+        doc = self._sample()
+        rel = Relation(label="in", source_id=doc.annotations[0].id, target_id="zz")
+        doc.attach(rel)
+        named = f"annotation {rel.id}: \"target_id\" names no annotation: 'zz'"
+        with pytest.raises(ConfigError, match=named):
+            serialize_document_json(doc)
 
 
 class TestTextDir:

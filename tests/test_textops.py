@@ -161,6 +161,13 @@ class TestDeidentify:
         assert new_seg.text == seg.text
         assert entities == []
 
+    def test_no_match_keeps_the_chain_in_a_list_of_its_own(self):
+        # A chain no replacement would have built: adjacent original spans.
+        seg = Segment(label="s", text="Rien ici.", spans=[Span(0, 4), Span(4, 9), ModifiedSpan(0)])
+        new_seg, _ = deidentify(seg, self.RULES)
+        assert new_seg.spans == seg.spans and new_seg.spans is not seg.spans
+        assert new_seg.id != seg.id and new_seg.label == seg.label
+
 
 class TestDictionary:
     ENTRIES = [
