@@ -78,6 +78,16 @@ class Segment(Annotation):
     def normalized_spans(self) -> list[Span]:
         return normalize_spans(self.spans)
 
+    def normalized_spans_in(self, text: str) -> list[Span]:
+        """The normalized spans, checked against the raw ``text``: OutOfBoundsError
+        naming the annotation if one runs past its end."""
+        ranges = normalize_spans(self.spans)
+        if ranges and ranges[-1].end > len(text):
+            last = ranges[-1]
+            raise OutOfBoundsError(f"annotation {self.id} ({self.label}): span ({last.start}, "
+                                   f"{last.end}) exceeds text length {len(text)}")
+        return ranges
+
 
 @dataclass
 class Entity(Segment):

@@ -21,7 +21,7 @@ from typing import Optional
 from . import _logger
 from ..core import Annotation, Attribute, Entity, Relation, Segment
 from ..exceptions import ConfigError, EmptyProjectionError, MalformedLineError, SurfaceMismatchError
-from ..spans import ModifiedSpan, Span, normalize_spans
+from ..spans import ModifiedSpan, Span
 
 # Separator joining the surface text of discontinuous fragments
 DISCONTINUOUS_SEP = " "
@@ -156,8 +156,9 @@ def emit_brat(doc, annotations: list[Annotation]) -> str:
 
     Entities are numbered T1..Tn in attachment order with spans taken from
     their normalized chains, cut at each line break, which is dropped;
-    attributes and relations follow. Raises EmptyProjectionError for a
-    segment that projects to no original character but line breaks, and
+    attributes and relations follow. Raises OutOfBoundsError for a segment
+    that runs past the end of the document, EmptyProjectionError for one
+    that projects to no original character but line breaks, and
     ConfigError for an annotation one Brat line cannot hold and for a
     relation whose source or target is not among the segments written.
     """
@@ -166,7 +167,7 @@ def emit_brat(doc, annotations: list[Annotation]) -> str:
     segments = [a for a in annotations if isinstance(a, Segment)]
     for i, seg in enumerate(segments, 1):
         fragments = [
-            m.span() for s in normalize_spans(seg.spans)
+            m.span() for s in seg.normalized_spans_in(doc.text)
             for m in _ONE_LINE_RE.finditer(doc.text, s.start, s.end)
         ]
         if not fragments:

@@ -45,10 +45,11 @@ def parse_doccano_jsonl(line: str) -> tuple[Document, list[Entity]]:
 def emit_doccano_jsonl(doc: Document, annotations: list[Annotation]) -> str:
     """One JSONL line for a document, one label for each entity among
     ``annotations``. An entity must project to exactly one original span:
-    EmptyProjectionError for none, ConfigError for more."""
+    EmptyProjectionError for none, ConfigError for more, and OutOfBoundsError
+    for one past the end of the document."""
     labels = []
     for entity in (a for a in annotations if isinstance(a, Entity)):
-        fragments = entity.normalized_spans()
+        fragments = entity.normalized_spans_in(doc.text)
         if len(fragments) != 1:
             error = ConfigError if fragments else EmptyProjectionError
             raise error(f"annotation {entity.id} ({entity.label}) projects to "

@@ -84,21 +84,30 @@ def _ann_from_obj(obj, raw: str) -> Annotation:
         return _KINDS[kind](**common)
     spans = [_span_from_obj(s) for s in _get(obj, "spans", list)]
     seg = _KINDS[kind](text=_get(obj, "text", str), spans=spans, **common)
+    if mismatch := _text_mismatch(seg, raw):
+        raise MalformedJsonError(mismatch)
+    return seg
+
+
+def _text_mismatch(seg: Segment, raw: str) -> str:
+    """How ``seg``'s text under its first original span that reads otherwise
+    in the raw text ``raw`` differs from it, or "" if none does."""
     start = 0
     for span in seg.spans:
         text, start = seg.text[start:start + span.length], start + span.length
         if isinstance(span, Span) and text != raw[span.start:span.end]:
-            raise MalformedJsonError(
-                f"span ({span.start}, {span.end}): text {text!r} does not match "
-                f"document slice {raw[span.start:span.end]!r}"
-            )
-    return seg
+            return (f"span ({span.start}, {span.end}): text {text!r} does not match "
+                    f"document slice {raw[span.start:span.end]!r}")
+    return ""
 
 
 def serialize_document_json(doc: Document) -> str:
     """``doc`` as native JSON; ConfigError, as parse_document_json would not
-    read it back, for a relation naming an annotation ``doc`` does not hold."""
+    read it back, for a relation naming an annotation ``doc`` does not hold
+    and for a segment whose text under an original span is not the raw text's."""
     for ann in doc.annotations:
+        if isinstance(ann, Segment) and (mismatch := _text_mismatch(ann, doc.text)):
+            raise ConfigError(f"annotation {ann.id}: {mismatch}")
         for key in ("source_id", "target_id") if isinstance(ann, Relation) else ():
             if doc.get_annotation(named := getattr(ann, key)) is None:
                 raise ConfigError(f'annotation {ann.id}: "{key}" names no annotation: {named!r}')

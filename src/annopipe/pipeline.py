@@ -12,9 +12,11 @@ key against what its producer declares. One runner runs every step: once per
 index of the lists wired to one-item inputs (a list input goes whole to
 every call), concatenating the outputs declared as lists.
 
-A traced run states lineage in the same pass, as (output, source) pairs:
-each item a call made derives from each item that call took (the item at
-its index of a mapped list, the whole of a list input, the one item
+A traced run keeps the provenance ids of each key's items beside its value:
+an item's string ``id``, or one minted when a step makes it or the run takes
+it as an input. It states lineage in the same pass, as (output, source)
+pairs: each item a call made derives from each item that call took (the
+item at its index of a mapped list, the whole of a list input, the one item
 otherwise), unless the operation returns ``Derived`` with its own pairs. A
 step that made nothing records one stand-in item derived from all it took.
 A run without a tracer, or at level NONE, does no provenance work, and one
@@ -85,12 +87,8 @@ class PipelineSpec:
             "inputs": list(self.pipeline_inputs),
             "outputs": list(self.pipeline_outputs),
             "steps": [
-                {
-                    "op": s.op_name,
-                    "params": s.params,
-                    "inputs": s.input_keys,
-                    "outputs": s.output_keys,
-                }
+                {"op": s.op_name, "params": s.params, "inputs": s.input_keys,
+                 "outputs": s.output_keys}
                 for s in self.steps
             ],
         }
@@ -129,6 +127,7 @@ class _Registered:
     factory: Callable
     inputs: tuple  # per slot, an item type or [item type]
     outputs: tuple
+    single: tuple = ()  # positions of outputs holding one item whatever the inputs hold
 
 
 def _shown(slot) -> str:
@@ -186,9 +185,7 @@ def register_operation(
     (registry or default_registry()).register(name, factory, *args, **kwargs)
 
 
-def as_operation(
-    spec: PipelineSpec, registry: Optional[OperationRegistry] = None
-) -> str:
+def as_operation(spec: PipelineSpec, registry: Optional[OperationRegistry] = None) -> str:
     """Register a pipeline as an operation with the slots of its plan; its factory
     returns the plan compiled here, and fails for a step that gives params."""
     registry = registry or default_registry()
@@ -200,6 +197,7 @@ def as_operation(
         return plan
 
     registry.register(spec.name, factory, plan.inputs, plan.outputs)
+    registry.get(spec.name).single = plan.single
     return spec.name
 
 
@@ -221,9 +219,10 @@ def validate_pipeline(
     """The issues of a spec; ``held``, if given, gets each key's (item type, what it holds).
 
     A key holds what its producer declares, and a one-item output a list when
-    its step maps over one. A pipeline input holds the most specific type its
-    consumers take, and a list if one takes it whole; both are settled from
-    all its consumers before any output is typed.
+    its step maps over one; a sub-pipeline's step does not map, so an output
+    its plan holds as one item whatever it takes stays one. A pipeline input
+    holds the most specific type its consumers take, and a list if one takes
+    it whole; both are settled from all its consumers before any output is typed.
     """
     registry = registry or default_registry()
     held = {} if held is None else held
@@ -262,6 +261,8 @@ def validate_pipeline(
                     reason = f"takes {_shown(slot)}, but {key!r} holds {shown}"
                     issues.append((index, f"{op} input {position} {reason}"))
             made = [(s[0], _LIST) if isinstance(s, list) else (s, maps) for s in registered.outputs]
+            for k in registered.single:
+                made[k] = (made[k][0], _ONE)
         for key, shape in zip(step.output_keys, made):
             if key in held:
                 issues.append((index, f"key {key!r} produced twice"))
@@ -277,27 +278,15 @@ def _items(value) -> list:
     return value if isinstance(value, list) else [value]
 
 
-def _source_id(minted: dict, item) -> str:
-    """Provenance id of an item a step takes.
-
-    An item with a string ``id`` is named by it. Any other item (a str, an
-    int) keeps the id minted when a step made it, or, if no step made it,
-    the id minted the first time a step takes it.
-    """
+def _item_id(item, known: Optional[dict] = None) -> str:
+    """Provenance id of an item: its string ``id``; else, without ``known``, a
+    new id, and with it, the id ``known`` holds for the object."""
     item_id = getattr(item, "id", None)
-    if isinstance(item_id, str):
-        return item_id
-    known = minted.get(id(item))
-    if known is None:
-        # The item is kept with its id, so no later object reuses its id().
-        known = minted[id(item)] = (item, new_id())
-    return known[1]
-
-
-def _output_id(minted: dict, item) -> str:
-    """Provenance id of an item a step makes; an id-less item gets a new one."""
-    minted.pop(id(item), None)
-    return _source_id(minted, item)
+    if not isinstance(item_id, str):
+        item_id = new_id() if known is None else known.get(id(item))
+    if item_id is None:
+        raise ValueError(f"a derivation names {item!r}, which its call neither took nor made")
+    return item_id
 
 
 @dataclass(frozen=True)
@@ -308,6 +297,7 @@ class Plan:
     steps: tuple  # (step, registered, bound op) per step; a sub-pipeline's op is its plan
     inputs: tuple
     outputs: tuple
+    single: tuple = ()  # positions of outputs holding one item whatever the inputs hold
 
     def require_input(self, kind: type) -> None:
         """ConfigError unless the plan takes exactly one input, which one ``kind`` item fits."""
@@ -317,9 +307,7 @@ class Plan:
             raise ConfigError(f"pipeline {self.spec.name!r} {message}")
 
 
-def compile_pipeline(
-    spec: PipelineSpec, registry: Optional[OperationRegistry] = None
-) -> Plan:
+def compile_pipeline(spec: PipelineSpec, registry: Optional[OperationRegistry] = None) -> Plan:
     """Validate a spec and call each step's factory, once.
 
     Raises ConfigError for an invalid spec and StepFailureError when a
@@ -342,24 +330,25 @@ def compile_pipeline(
     def slots(keys):
         return tuple([held[k][0]] if held[k][1] == _LIST else held[k][0] for k in keys)
 
-    return Plan(spec, tuple(steps), slots(spec.pipeline_inputs), slots(spec.pipeline_outputs))
+    outputs = spec.pipeline_outputs
+    single = tuple(k for k, key in enumerate(outputs) if held[key][1] == _ONE)
+    return Plan(spec, tuple(steps), slots(spec.pipeline_inputs), slots(outputs), single)
 
 
 def _run_step(
-    registered: _Registered, op: Callable, args: list, minted: Optional[dict]
-) -> tuple[tuple, Optional[tuple[list, list, list]]]:
-    """Run one step's operation; return its outputs and, if traced, its lineage.
-
-    Without ``minted`` the step is not traced and its lineage is None;
-    otherwise it is the step's source ids, output ids and (output, source)
-    id pairs: each call's own ``Derived`` pairs, or each item the call made
-    with each item it took.
-    """
+    registered: _Registered, op: Callable, args: list, arg_ids: Optional[list]
+) -> tuple[tuple, Optional[tuple[list, list, list, list]]]:
+    """Run one step's operation; return its outputs and, if traced, its lineage:
+    its source ids, output ids, (output, source) id pairs and each output
+    slot's item ids. ``arg_ids`` holds each argument's item ids, or is None
+    when the step is not traced. The pairs are each call's ``Derived`` pairs,
+    naming an id-less item by the first id its call took or made it with, or
+    each item the call made with each item it took."""
     mapped = [
         isinstance(a, list) and not isinstance(s, list) for s, a in zip(registered.inputs, args)
     ]
-    calls = [args]
-    if any(mapped):
+    calls, mapping = [args], any(mapped)
+    if mapping:
         lengths = {len(a) for a, m in zip(args, mapped) if m}
         if len(lengths) > 1:
             raise ValueError("lists wired to one-item inputs differ in length")
@@ -369,40 +358,41 @@ def _run_step(
     results = [r.outputs if isinstance(r, Derived) else r for r in results]
     if len(registered.outputs) == 1:
         results = [(r,) for r in results]
-    if any(mapped):
+    if mapping:
         outputs = tuple(
             [x for r in results for x in r[k]] if isinstance(s, list) else [r[k] for r in results]
             for k, s in enumerate(registered.outputs)
         )
     else:
         outputs = results[0]
-    if minted is None:
+    if arg_ids is None:
         return outputs, None
 
-    arg_ids = [[_source_id(minted, item) for item in _items(a)] for a in args]
-    source_ids = [i for ids in arg_ids for i in ids]
-    per_slot = [[] for _ in registered.outputs]
+    slot_ids = [[] for _ in registered.outputs]
     pairs = []
+    arg_items = [list(zip(_items(a), ids)) for a, ids in zip(args, arg_ids)]
     for i, (result, own) in enumerate(zip(results, stated)):
-        took = dict.fromkeys(
-            src for m, ids in zip(mapped, arg_ids) for src in ((ids[i],) if m else ids)
-        )
-        for made, slot, slot_ids in zip(result, registered.outputs, per_slot):
-            for item in made if isinstance(slot, list) else (made,):
-                out = _output_id(minted, item)
-                slot_ids.append(out)
-                if own is None:
-                    pairs.extend((out, src) for src in took)
-        if own is not None:
-            # The call's outputs already have their ids, so both sides are looked up.
-            pairs.extend((_source_id(minted, o), _source_id(minted, s)) for o, s in own)
-    output_ids = [i for ids in per_slot for i in ids]
+        took = [x for items, m in zip(arg_items, mapped) for x in (items[i:i + 1] if m else items)]
+        made = []
+        for value, slot, ids in zip(result, registered.outputs, slot_ids):
+            # The slot's items, as the next step takes them from the step's value.
+            for item in (value if isinstance(slot, list) else (value,)) if mapping else _items(value):
+                made.append((item, _item_id(item)))
+                ids.append(made[-1][1])
+        if own is None:
+            sources = dict.fromkeys(src for _, src in took)
+            pairs.extend((out, src) for _, out in made for src in sources)
+        else:
+            took_ids = {id(item): src for item, src in reversed(took)}
+            made_ids = {id(item): out for item, out in reversed(made)}
+            pairs.extend((_item_id(o, made_ids), _item_id(s, took_ids)) for o, s in own)
+    source_ids = [i for ids in arg_ids for i in ids]
+    output_ids = [i for ids in slot_ids for i in ids]
     if not output_ids:
-        # The step made nothing; an id stands for its empty result, derived
-        # from everything the step took.
+        # The step made nothing: a stand-in derived from everything it took.
         output_ids = [new_id()]
         pairs = [(output_ids[0], s) for s in dict.fromkeys(source_ids)]
-    return outputs, (source_ids, output_ids, pairs)
+    return outputs, (source_ids, output_ids, pairs, slot_ids)
 
 
 def run_pipeline(
@@ -418,44 +408,51 @@ def run_pipeline(
     """
     plan = pipeline if isinstance(pipeline, Plan) else compile_pipeline(pipeline, registry)
     traced = tracer is not None and tracer.level > 0  # above VerbosityLevel.NONE
-    return _execute(plan, inputs, tracer, None, {} if traced else None)
+    outputs, _ = _execute(plan, inputs, tracer, None, {} if traced else None)
+    return dict(zip(plan.spec.pipeline_outputs, outputs))
 
 
 def _execute(
-    plan: Plan, inputs: dict, tracer: Optional[Tracer], scope: Optional[str], minted: Optional[dict]
-) -> dict:
-    """Run a plan's steps; a sub-pipeline step runs its plan in a tracer scope.
+    plan: Plan, inputs: dict, tracer: Optional[Tracer], scope: Optional[str], ids: Optional[dict]
+) -> tuple[tuple, Optional[tuple]]:
+    """Run a plan's steps; return its output values and, if traced, their items' ids.
 
-    ``minted`` holds the provenance ids of the run's id-less items, and is
-    None when the run is not traced: then no step mints an id or records
-    anything. A sub-pipeline shares it with the pipeline that runs it.
+    ``ids`` maps a key to the ids of its items, or is None when the run is not
+    traced: then no step mints an id or records anything. Given empty, it is
+    seeded once from the declared inputs. A sub-pipeline step runs its plan
+    in a tracer scope over its keys' values and ids, whole, and takes back
+    its outputs' values and ids.
     """
-    if minted is not None:
-        from .provenance import OperationDescriptor
     for key in plan.spec.pipeline_inputs:
         if key not in inputs:
             raise MissingInputError(f"missing pipeline input {key!r}")
-
     env = dict(inputs)
+    if ids is not None:
+        from .provenance import OperationDescriptor
+
+        ids = ids or {k: [_item_id(x) for x in _items(env[k])] for k in plan.spec.pipeline_inputs}
     for index, (step, registered, op) in enumerate(plan.steps):
         args = [env[k] for k in step.input_keys]
+        arg_ids = None if ids is None else [ids[k] for k in step.input_keys]
         try:
             if isinstance(op, Plan):
-                sub_scope = None
-                if minted is not None:
+                sub_scope = sub_ids = None
+                if ids is not None:
                     descriptor = OperationDescriptor(name=op.spec.name, config=step.params)
                     sub_scope = tracer.open_scope(descriptor, parent=scope)
+                    sub_ids = dict(zip(op.spec.pipeline_inputs, arg_ids))
                 sub_inputs = dict(zip(op.spec.pipeline_inputs, args))
-                result = _execute(op, sub_inputs, tracer, sub_scope, minted)
-                outputs = tuple(result[k] for k in op.spec.pipeline_outputs)
+                outputs, out_ids = _execute(op, sub_inputs, tracer, sub_scope, sub_ids)
             else:
-                outputs, lineage = _run_step(registered, op, args, minted)
+                outputs, lineage = _run_step(registered, op, args, arg_ids)
                 if lineage is not None:
-                    sources, made, pairs = lineage
+                    sources, made, pairs, out_ids = lineage
                     descriptor = OperationDescriptor(name=step.op_name, config=step.params)
                     tracer.record(descriptor, sources, made, scope=scope, derivations=pairs)
         except Exception as exc:
             raise StepFailureError(index, step.op_name, exc) from exc
-        for key, value in zip(step.output_keys, outputs):
-            env[key] = value
-    return {key: env[key] for key in plan.spec.pipeline_outputs}
+        env.update(zip(step.output_keys, outputs))
+        if ids is not None:
+            ids.update(zip(step.output_keys, out_ids))
+    keys = plan.spec.pipeline_outputs
+    return tuple(env[k] for k in keys), None if ids is None else tuple(ids[k] for k in keys)

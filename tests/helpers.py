@@ -19,7 +19,7 @@ from annopipe.exceptions import ArityMismatchError, ConfigError, InvalidRangeErr
 from annopipe.io.brat import emit_brat
 from annopipe.io.doccano import emit_doccano_jsonl
 from annopipe.io.docjson import serialize_document_json
-from annopipe.pipeline import Plan, _items, _output_id, _Registered, _source_id
+from annopipe.pipeline import Plan, _items, _Registered
 from annopipe.provenance import Activity, ProvGraph, Tracer, VerbosityLevel
 from annopipe.spans import Span, normalize_spans
 from annopipe.textops import ContextRuleSet
@@ -953,8 +953,32 @@ Lineage = Callable[[list, tuple], Iterable[tuple]]
 # The step runner as it was before one pass ran an operation and stated its
 # lineage: _run_mapped filled a ``calls`` list that _lineage read back, and
 # _execute gave an empty step its stand-in id. Kept verbatim as the reference
-# _run_step is compared against; _items, _source_id and _output_id are the
-# pipeline's own.
+# _run_step's outputs are compared against; _items is the pipeline's own, and
+# _source_id and _output_id are verbatim copies of the run-wide identity map
+# the pipeline named id-less items by until ids were kept beside each key.
+
+
+def _source_id(minted: dict, item) -> str:
+    """Provenance id of an item a step takes.
+
+    An item with a string ``id`` is named by it. Any other item (a str, an
+    int) keeps the id minted when a step made it, or, if no step made it,
+    the id minted the first time a step takes it.
+    """
+    item_id = getattr(item, "id", None)
+    if isinstance(item_id, str):
+        return item_id
+    known = minted.get(id(item))
+    if known is None:
+        # The item is kept with its id, so no later object reuses its id().
+        known = minted[id(item)] = (item, new_id())
+    return known[1]
+
+
+def _output_id(minted: dict, item) -> str:
+    """Provenance id of an item a step makes; an id-less item gets a new one."""
+    minted.pop(id(item), None)
+    return _source_id(minted, item)
 
 
 def frozen_run_mapped(

@@ -12,6 +12,7 @@ from annopipe.exceptions import (
     ConfigError,
     EmptyProjectionError,
     MalformedLineError,
+    OutOfBoundsError,
     SurfaceMismatchError,
 )
 from annopipe.io.brat import emit_brat, parse_brat
@@ -122,6 +123,13 @@ class TestEmit:
         doc = create_document("abc")
         ent = Entity(label="D", text="xxx", spans=[ModifiedSpan(3)])
         with pytest.raises(EmptyProjectionError):
+            emit_brat(doc, [ent])
+
+    def test_entity_past_the_end_of_the_document_is_refused_by_name(self):
+        doc = create_document("abc")
+        ent = Entity(label="X", text="abcde", spans=[Span(0, 5)])
+        named = rf"annotation {ent.id} \(X\): span \(0, 5\) exceeds text length 3"
+        with pytest.raises(OutOfBoundsError, match=named):
             emit_brat(doc, [ent])
 
     def test_entity_found_on_transformed_text_projects_back(self):

@@ -55,6 +55,13 @@ class TestDoccano:
         with pytest.raises(EmptyProjectionError, match=ent.id):
             emit_doccano_jsonl(doc, [ent])
 
+    def test_entity_past_the_end_of_the_document_is_refused_by_name(self):
+        doc = create_document("abc")
+        ent = Entity(label="X", text="abcde", spans=[Span(0, 5)])
+        named = rf"annotation {ent.id} \(X\): span \(0, 5\) exceeds text length 3"
+        with pytest.raises(OutOfBoundsError, match=named):
+            emit_doccano_jsonl(doc, [ent])
+
     def test_what_doccano_cannot_hold_is_left_out(self):
         doc = create_document("aspirine 500")
         ent = Entity(label="Drug", text="aspirine", spans=[Span(0, 8)],
@@ -223,6 +230,15 @@ class TestDocumentJson:
         rel = Relation(label="in", source_id=doc.annotations[0].id, target_id="zz")
         doc.attach(rel)
         named = f"annotation {rel.id}: \"target_id\" names no annotation: 'zz'"
+        with pytest.raises(ConfigError, match=named):
+            serialize_document_json(doc)
+
+
+    def test_writer_refuses_a_segment_whose_text_is_not_the_raw_text(self):
+        doc = create_document("abc")
+        ent = Entity(label="X", text="xyz", spans=[Span(0, 3)])
+        doc.attach(ent)
+        named = rf"annotation {ent.id}: span \(0, 3\): text 'xyz' does not match document slice"
         with pytest.raises(ConfigError, match=named):
             serialize_document_json(doc)
 

@@ -454,6 +454,34 @@ class TestNesting:
                 reg,
             )
 
+    def test_a_nested_step_is_typed_the_way_it_runs(self):
+        reg = default_registry().copy()
+        reg.register("count", lambda params: len, ([Entity],), (int,))
+        inner = spec_of(
+            [
+                PipelineStep("match_regex", {"rules": [{"pattern": r"\ba+\b", "label": "A"}]},
+                             ["s"], ["ents"]),
+                PipelineStep("count", {}, ["ents"], ["n"]),
+            ],
+            ["s"],
+            ["n"],
+            name="per_sent",
+        )
+        as_operation(inner, reg)
+        assert reg.get("per_sent").single == (0,)
+        outer = spec_of(
+            [
+                PipelineStep("to_segment", {}, ["doc"], ["full"]),
+                PipelineStep("split_sentences", {}, ["full"], ["sentences"]),
+                PipelineStep("per_sent", {}, ["sentences"], ["counts"]),
+            ],
+            ["doc"],
+            ["counts"],
+        )
+        plan = compile_pipeline(outer, reg)
+        assert plan.outputs == (int,)
+        assert run_pipeline(plan, {"doc": create_document("aa b. a. ccc.")}) == {"counts": 2}
+
     def test_registry_copy_is_independent(self):
         reg = make_registry()
         clone = reg.copy()
@@ -498,6 +526,94 @@ class TestItemLineage:
         reg.register("same", lambda params: (lambda x: x))
         (rec,) = self._trace([PipelineStep("same", {}, ["x"], ["y"])], {"x": [0, 7]}, reg)._records
         assert not set(rec.sources) & set(rec.outputs)
+
+    def _equal_values_registry(self):
+        """``one`` and ``two`` each make the int 1 from a document, the same
+        object; ``show`` and ``same`` take any item."""
+        reg = OperationRegistry()
+        reg.register("one", lambda params: (lambda doc: len(doc.text) - 2), (Document,), (int,))
+        reg.register("two", lambda params: (lambda doc: 1), (Document,), (int,))
+        reg.register("show", lambda params: str)
+        reg.register("same", lambda params: (lambda x: x))
+        return reg
+
+    def test_equal_values_do_not_share_lineage(self):
+        steps = [
+            PipelineStep("one", {}, ["doc"], ["a"]),
+            PipelineStep("two", {}, ["doc"], ["b"]),
+            PipelineStep("show", {}, ["a"], ["y"]),
+        ]
+        spec = spec_of(steps, inputs=["doc"], outputs=["y"])
+        tracer = Tracer(VerbosityLevel.FULL)
+        run_pipeline(spec, {"doc": create_document("abc")}, tracer, self._equal_values_registry())
+        graph = build_graph(tracer)
+        names = {a: act.name for a, act in graph.activities.items()}
+        made_by = {ent: names[act] for ent, act in graph.was_generated_by}
+        derived = [(made_by[out], made_by.get(src)) for out, src in graph.was_derived_from]
+        assert [pair for pair in derived if pair[0] == "show"] == [("show", "one")]
+        assert [(names[a], names[b]) for a, b in graph.was_informed_by] == [("show", "one")]
+
+    def test_passing_an_idless_item_through_leaves_its_other_consumers_alone(self):
+        steps = [
+            PipelineStep("one", {}, ["doc"], ["a"]),
+            PipelineStep("same", {}, ["a"], ["c"]),
+            PipelineStep("show", {}, ["a"], ["y"]),
+            PipelineStep("show", {}, ["c"], ["z"]),
+        ]
+        spec = spec_of(steps, inputs=["doc"], outputs=["y", "z"])
+        tracer = Tracer(VerbosityLevel.FULL)
+        run_pipeline(spec, {"doc": create_document("abc")}, tracer, self._equal_values_registry())
+        one, same, show_a, show_c = tracer._records
+        assert same.sources == show_a.sources == one.outputs
+        assert show_c.sources == same.outputs != one.outputs
+        assert show_a.derivations == [(show_a.outputs[0], one.outputs[0])]
+
+    def test_an_idless_item_keeps_its_id_across_a_sub_pipeline_scope(self):
+        reg = self._equal_values_registry()
+        as_operation(spec_of([PipelineStep("show", {}, ["x"], ["y"])], name="wrap"), reg)
+        steps = [
+            PipelineStep("one", {}, ["doc"], ["a"]),
+            PipelineStep("two", {}, ["doc"], ["b"]),
+            PipelineStep("wrap", {}, ["a"], ["w"]),
+            PipelineStep("same", {}, ["w"], ["z"]),
+        ]
+        spec = spec_of(steps, inputs=["doc"], outputs=["z"])
+        tracer = Tracer(VerbosityLevel.FULL)
+        result = run_pipeline(spec, {"doc": create_document("abc")}, tracer, reg)
+        assert result == {"z": "1"}
+        one, two, inner, same = tracer._records
+        assert inner.scope is not None and same.scope is None
+        assert inner.sources == one.outputs != two.outputs
+        assert same.sources == inner.outputs
+        graph = build_graph(tracer)
+        names = {a: act.name for a, act in graph.activities.items()}
+        assert [(names[a], names[b]) for a, b in graph.was_informed_by] == [
+            ("wrap", "one"), ("same", "wrap")
+        ]
+
+    def test_a_list_made_in_an_undeclared_slot_names_each_item_its_consumer_takes(self):
+        reg = self._equal_values_registry()
+        reg.register("pair", lambda params: (lambda x: [x, x + "!"]))
+        steps = [PipelineStep("pair", {}, ["x"], ["p"]), PipelineStep("show", {}, ["p"], ["y"])]
+        tracer = Tracer()
+        assert run_pipeline(spec_of(steps), {"x": "ab"}, tracer, reg) == {"y": ["ab", "ab!"]}
+        pair, show = tracer._records
+        assert len(pair.outputs) == 2 and show.sources == pair.outputs
+        assert pair.derivations == [(out, pair.sources[0]) for out in pair.outputs]
+
+    def test_a_derived_pair_naming_an_item_its_call_did_not_take_fails_the_step(self):
+        def stray(xs):
+            made = ["made"]
+            return Derived(made, [(made[0], "elsewhere")])
+
+        reg = OperationRegistry()
+        reg.register("stray", lambda params: stray, ([str],), ([str],))
+        spec = spec_of([PipelineStep("stray", {}, ["x"], ["y"])])
+        assert run_pipeline(spec, {"x": ["a"]}, registry=reg) == {"y": ["made"]}
+        with pytest.raises(StepFailureError) as err:
+            run_pipeline(spec, {"x": ["a"]}, Tracer(), reg)
+        assert isinstance(err.value.cause, ValueError)
+        assert "'elsewhere', which its call neither took nor made" in str(err.value)
 
 
 class TestBatchLineage:
@@ -657,21 +773,18 @@ def generated_steps(draw):
     return _Registered(None, tuple(inputs), tuple(outputs)), frozen, script, args, states
 
 
-def _run_counted(runner, registered, op, args, traced):
+def _run_counted(runner, registered, op, args, arg_ids):
     """Run one step with provenance ids drawn from a fresh counter."""
     counter = itertools.count()
-    minted = {} if traced else None
 
     def new_id():
         return f"id{next(counter)}"
 
     with mock.patch("annopipe.pipeline.new_id", new_id), mock.patch.object(helpers, "new_id", new_id):
         try:
-            outputs, lineage = runner(registered, op, args, minted)
+            return runner(registered, op, args, arg_ids)
         except ValueError as exc:
             return "raised", str(exc)
-    kept = None if minted is None else sorted(item_id for _, item_id in minted.values())
-    return outputs, lineage, kept
 
 
 # The frozen runner's message for ragged lists, and the runner's, which names
@@ -680,29 +793,94 @@ FROZEN_RAGGED = "item-mode operation got list inputs of different lengths"
 RAGGED = "lists wired to one-item inputs differ in length"
 
 
-def _one_call_pairs(source_ids, output_ids) -> list:
-    """The pairs of a step the frozen runner ran as one call taking every
-    arg whole: each output with each item the call took, in order."""
-    took = dict.fromkeys(source_ids)
-    return [(out, src) for out in output_ids for src in took]
+def _recorded(op):
+    """``op``, appending what each call returns to its ``results`` list."""
+
+    def run(*args):
+        run.results.append(op(*args))
+        return run.results[-1]
+
+    run.results = []
+    return run
+
+
+def _input_ids(args) -> list:
+    """Provenance ids of each argument's items, as a run seeds them: a
+    ``Rec`` by its id, any other item by a name of its own position."""
+    return [
+        [x.id if isinstance(x, Rec) else f"in{k}.{j}" for j, x in enumerate(_flat(a))]
+        for k, a in enumerate(args)
+    ]
+
+
+def _lineage_oracle(registered, args, arg_ids, results) -> tuple:
+    """The lineage of a step whose calls returned ``results``, stated from
+    first principles: (source ids, output ids, pairs, each slot's ids).
+
+    A list wired to a one-item input is mapped: call i takes its item i, and
+    every other argument whole. Each item a call makes is named by its
+    string id, or by the next counter id, in call, slot and item order; a
+    one-item slot of a mapped step holds one item per call. A call's pairs
+    are each item it made with each distinct id it took, unless it returned
+    ``Derived``: then each pair names its output by the id the call made that
+    object with and its source by the id the call took it with, the first
+    such when one object comes twice. A step that made nothing names one
+    stand-in, the next counter id, derived from every distinct source id.
+    """
+    counter = itertools.count()
+    mapped = [isinstance(a, list) and not isinstance(s, list) for s, a in zip(registered.inputs, args)]
+    slot_ids = [[] for _ in registered.outputs]
+    pairs = []
+    for i, result in enumerate(results):
+        took = []
+        for a, ids, m in zip(args, arg_ids, mapped):
+            took += [(a[i], ids[i])] if m else list(zip(_flat(a), ids))
+        own = result.pairs if isinstance(result, Derived) else None
+        values = result.outputs if isinstance(result, Derived) else result
+        values = values if len(registered.outputs) > 1 else (values,)
+        made = []
+        for slot, value, ids in zip(registered.outputs, values, slot_ids):
+            for item in value if isinstance(slot, list) else [value]:
+                made.append((item, item.id if isinstance(item, Rec) else f"id{next(counter)}"))
+                ids.append(made[-1][1])
+        if own is None:
+            pairs += [(out, src) for _, out in made for src in dict.fromkeys(s for _, s in took)]
+            continue
+
+        def named(item, among):
+            if isinstance(item, Rec):
+                return item.id
+            return next(item_id for other, item_id in among if other is item)
+
+        pairs += [(named(out, made), named(src, took)) for out, src in own]
+    sources = [i for ids in arg_ids for i in ids]
+    outputs = [i for ids in slot_ids for i in ids]
+    if not outputs:
+        outputs = [f"id{next(counter)}"]
+        pairs = [(outputs[0], src) for src in dict.fromkeys(sources)]
+    return sources, outputs, pairs, slot_ids
 
 
 class TestStepRunnerMatchesFrozen:
     @settings(max_examples=500, deadline=None)
     @given(step=generated_steps(), traced=st.booleans())
     def test_same_outputs_and_lineage_as_frozen_runner(self, step, traced):
+        """Outputs as the frozen runner gives them; lineage as the oracle states it."""
         registered, frozen, script, args, states = step
         n = len(registered.outputs)
-        expected = _run_counted(helpers.frozen_run_step, frozen, _make_op(script, n), args, traced)
+        expected = _run_counted(helpers.frozen_run_step, frozen, _make_op(script, n), args, None)
         if expected == ("raised", FROZEN_RAGGED):
             expected = ("raised", RAGGED)
-        elif traced and expected[1][2] is None:
-            # The frozen runner states no pairs for a batch call without lineage.
-            outputs, (sources, made, _), kept = expected
-            expected = outputs, (sources, made, _one_call_pairs(sources, made)), kept
         op = _make_op(script, n)
-        got = _run_counted(_run_step, registered, _stating(op, n) if states else op, args, traced)
-        assert got == expected
+        op = _recorded(_stating(op, n) if states else op)
+        arg_ids = _input_ids(args) if traced else None
+        got = _run_counted(_run_step, registered, op, args, arg_ids)
+        if expected[0] == "raised":
+            assert got == expected
+            return
+        assert got[0] == expected[0]
+        lineage = _lineage_oracle(registered, args, arg_ids, op.results) if traced else None
+        assert got[1] == lineage
 
     def test_ragged_lists_wired_to_one_item_inputs_are_named(self):
         registered = _Registered(None, (object, object, [object]), (object,))
